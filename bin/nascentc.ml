@@ -660,9 +660,9 @@ let cmd_client =
       & opt string (default_socket ())
       & info [ "connect" ] ~docv:"ADDR"
           ~doc:
-            "Address of the nascentd instance: a Unix socket path \
-             (line-delimited JSON), or HOST:PORT for the NF1 framed TCP \
-             transport — a shard router is just a daemon at such an \
+            "Address of the nascentd instance: a Unix socket path, or \
+             HOST:PORT for its TCP listener — both speak the NF1 framed \
+             protocol, and a shard router is just a daemon at such an \
              address. Defaults to $(b,NASCENT_SOCKET) or \
              $(b,TMPDIR/nascentd.sock).")
   in

@@ -1,8 +1,9 @@
 (* nascentd — the MiniF range-check optimizer as a long-running
    service.
 
-   Listens on a Unix-domain socket for newline-delimited JSON requests
-   (see Nascent_support.Server for the envelope and
+   Listens on a Unix-domain socket (and optionally TCP) for requests in
+   the NF1 framed protocol (see Nascent_support.Frame for the wire
+   format, Nascent_support.Server for the envelope and
    Nascent_harness.Service for the operations), fanning compiles over
    worker domains behind a bounded admission queue, per-request
    wall-clock deadlines, a per-scheme circuit breaker and a
@@ -73,10 +74,10 @@ let tcp_arg =
     & info [ "tcp" ] ~docv:"[HOST:]PORT"
         ~doc:
           "Additional TCP listener speaking the NF1 framed protocol with \
-           per-connection pipelining. $(docv) is a port, or HOST:PORT to \
-           bind one interface (default: every interface); port 0 picks an \
-           ephemeral port, echoed as the \"tcp_port\" status field. The \
-           Unix socket keeps speaking line-delimited JSON.")
+           per-connection pipelining, like the Unix socket. $(docv) is a \
+           port, or HOST:PORT to bind one interface (default: every \
+           interface); port 0 picks an ephemeral port, echoed as the \
+           \"tcp_port\" status field.")
 
 let idle_arg =
   Arg.(

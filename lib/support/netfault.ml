@@ -174,9 +174,7 @@ let writer spec ~out =
 
 (* --- chaos proxy ------------------------------------------------------ *)
 
-let sock_for = function
-  | Unix.ADDR_UNIX _ -> Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0
-  | Unix.ADDR_INET _ -> Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0
+let sock_for addr = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
 
 let shutdown_quiet fd cmd = try Unix.shutdown fd cmd with _ -> ()
 let close_quiet fd = try Unix.close fd with _ -> ()
@@ -189,14 +187,19 @@ let write_all_quiet fd s =
     true
   with _ -> false
 
+(* Every connection opens with the NF1 hello: the first chunk each way
+   (hello, hello-ack) passes through clean — faulting the handshake
+   would read as a protocol mismatch, not a network fault. *)
+let skip = 1
+
 (* Pump upstream->client. On faulted connections, Reset_mid_exchange
    drops the response and cuts the wire (EOF before response at the
    client); Stalled_reader swallows it, stalls, then closes — the
-   client's receive deadline is the detection. The first [skip]
-   response chunks pass through clean (the NF1 hello-ack on a framed
-   connection: faulting the handshake would read as a protocol
-   mismatch, not a network fault). *)
-let pump_response ~faulted ~skip spec ufd cfd =
+   client's receive deadline is the detection. Oversized_frame cuts the
+   wire after the forged header (see [plan]); the server's verdict on
+   that header must not race the cut to the client, which never sent
+   an oversized frame. *)
+let pump_response ~faulted spec ufd cfd =
   let buf = Bytes.create 8192 in
   let chunk_no = ref 0 in
   let rec loop () =
@@ -212,7 +215,7 @@ let pump_response ~faulted ~skip spec ufd cfd =
         if (not faulted) || k < skip then forward ()
         else
           match spec.cls with
-          | Reset_mid_exchange -> shutdown_quiet cfd Unix.SHUTDOWN_ALL
+          | Reset_mid_exchange | Oversized_frame -> shutdown_quiet cfd Unix.SHUTDOWN_ALL
           | Stalled_reader ->
               Thread.delay 1.0;
               shutdown_quiet cfd Unix.SHUTDOWN_ALL
@@ -220,12 +223,11 @@ let pump_response ~faulted ~skip spec ufd cfd =
   in
   loop ()
 
-(* Pump client->upstream; chunk [skip] of a faulted connection gets
-   the fault class's send plan (a client writes a whole frame or line
-   in one write and the hello is answered before the request follows,
-   so chunk boundaries align with protocol messages: chunk 0 is the
-   hello on a framed connection, the request itself on a line one). *)
-let pump_request ~faulted ~delay_s ~skip spec cfd ufd =
+(* Pump client->upstream; chunk [skip] of a faulted connection — the
+   first request — gets the fault class's send plan (a client writes a
+   whole frame in one write and the hello is answered before the
+   request follows, so chunk boundaries align with frames). *)
+let pump_request ~faulted ~delay_s spec cfd ufd =
   let buf = Bytes.create 8192 in
   let chunk_no = ref 0 in
   let rec loop () =
@@ -257,7 +259,7 @@ let pump_request ~faulted ~delay_s ~skip spec cfd ufd =
   in
   loop ()
 
-let handle_conn ~faulted ~delay_s ~skip spec upstream cfd =
+let handle_conn ~faulted ~delay_s spec upstream cfd =
   match
     let ufd = sock_for upstream in
     (try Unix.connect ufd upstream
@@ -269,9 +271,9 @@ let handle_conn ~faulted ~delay_s ~skip spec upstream cfd =
   | exception _ -> close_quiet cfd
   | ufd ->
       let resp =
-        Thread.create (fun () -> pump_response ~faulted ~skip spec ufd cfd) ()
+        Thread.create (fun () -> pump_response ~faulted spec ufd cfd) ()
       in
-      pump_request ~faulted ~delay_s ~skip spec cfd ufd;
+      pump_request ~faulted ~delay_s spec cfd ufd;
       Thread.join resp;
       close_quiet ufd;
       close_quiet cfd
@@ -282,15 +284,10 @@ let proxy ~listen ~upstream ?(stop = fun () -> false) ?(delay_s = 3.0)
   | Unix.ADDR_UNIX p when p <> "" -> ( try Unix.unlink p with _ -> ())
   | _ -> ());
   let lfd = sock_for listen in
-  (match listen with
-  | Unix.ADDR_INET _ -> Unix.setsockopt lfd Unix.SO_REUSEADDR true
-  | _ -> ());
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
   Unix.bind lfd listen;
   Unix.listen lfd 64;
   on_listen (Unix.getsockname lfd);
-  (* On a TCP listener the peers speak NF1: the first exchange is the
-     hello handshake, which must pass clean (see pump_request). *)
-  let skip = match listen with Unix.ADDR_INET _ -> 1 | _ -> 0 in
   let idx = ref 0 in
   let rec loop () =
     if not (stop ()) then begin
@@ -307,7 +304,7 @@ let proxy ~listen ~upstream ?(stop = fun () -> false) ?(delay_s = 3.0)
               ignore
                 (Thread.create
                    (fun () ->
-                     handle_conn ~faulted ~delay_s ~skip spec upstream cfd)
+                     handle_conn ~faulted ~delay_s spec upstream cfd)
                    ())));
       loop ()
     end

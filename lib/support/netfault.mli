@@ -10,7 +10,7 @@
       truncated-write    EOF mid-frame (never parsed)  reconnect + retry
       delayed-bytes      mid-frame read deadline       reconnect + retry
       reset-mid-exchange EOF before response           retry (idempotent)
-      garbage-frame      magic check (proto reject)    reconnect + retry
+      garbage-frame      magic check (frame error)     reconnect + retry
       oversized-frame    payload length cap            reconnect + retry
       stalled-reader     recv deadline / write budget  reconnect + retry
     v}
@@ -86,10 +86,11 @@ val proxy :
   ?on_listen:(Unix.sockaddr -> unit) ->
   spec ->
   unit
-(** Run a chaos proxy: accept connections on [listen], pipe bytes to
-    and from [upstream], and apply the fault (per {!should_fault}) to
-    faulted connections — client-to-upstream bytes are mangled/cut per
-    the class; [Stalled_reader] swallows the upstream's response and
+(** Run a chaos proxy: accept connections on [listen] (a Unix socket
+    or TCP), pipe bytes to and from [upstream], and apply the fault
+    (per {!should_fault}) to faulted connections — past the NF1 hello,
+    which always passes clean, client-to-upstream bytes are mangled/cut
+    per the class; [Stalled_reader] swallows the upstream's response and
     [Reset_mid_exchange] cuts the connection once the request has been
     relayed. [delay_s] (default 3.0) is the [Delayed_bytes] stall.
     [on_listen] fires once the socket is bound and listening, with the

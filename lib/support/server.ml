@@ -1,11 +1,11 @@
 (* Compile-as-a-service transport, robust by construction: a
-   Unix-domain socket speaking newline-delimited JSON, plus an optional
-   TCP listener speaking the NF1 framed protocol (Frame) with
-   per-connection pipelining — many in-flight requests tagged by frame
-   id on one socket, responses written in completion order.
+   Unix-domain socket plus an optional TCP listener, both speaking the
+   NF1 framed protocol (Frame) with per-connection pipelining — many
+   in-flight requests tagged by frame id on one socket, responses
+   written in completion order.
 
    Layering: this module owns everything about *serving* — the sockets,
-   connection reader threads, the bounded request queue (admission
+   connection reader threads, the bounded work queue (admission
    control), worker domains with crash supervision, per-request
    wall-clock deadlines layered on Guard fuel, drain-on-stop, and the
    status counters. What a request *means* is the handler's business
@@ -16,8 +16,8 @@
 
    Robustness contract (pinned by test/test_server.ml and the CI
    smoke):
-   - admission control: once the queue holds [queue_depth] requests,
-     new ones are shed immediately with {"code":"overloaded",
+   - admission control: once the queue holds [queue_depth] live
+     requests, new ones are shed immediately with {"code":"overloaded",
      "retryable":true} — the server degrades by refusing work, never by
      wedging or growing without bound;
    - per-request deadlines: a request carries its wall budget from
@@ -40,14 +40,14 @@
      off briefly on fd exhaustion and keeps serving instead of crashing
      the daemon with admitted requests still queued;
    - network failure domain: a slow-loris peer cannot wedge a reader or
-     leak a connection record — a frame (or line) that stays incomplete
-     past [io_deadline_s] closes the connection (io_timeouts), a
+     leak a connection record — a frame that stays incomplete past
+     [io_deadline_s] closes the connection (io_timeouts), a
      connected-but-silent client is reaped after [idle_timeout_s]
      (idle_closed), a response write blocked past the I/O budget gives
      up (the peer is not draining), torn/oversized/garbage frames are
-     terminal for their connection only (frame_errors), and a legacy or
-     version-mismatched client on the TCP port gets one clear error
-     line and a close (proto_rejects) instead of a hang;
+     terminal for their connection only (frame_errors), and a peer
+     whose first bytes are not an NF1 hello gets one clear error line
+     and a close (proto_rejects) instead of a hang;
    - graceful drain: [stop] (wired to SIGTERM/SIGINT by nascentd) stops
      accepting, sheds NEW requests with {"code":"shutting-down",
      "retryable":true}, finishes every admitted request, flushes
@@ -64,10 +64,9 @@ type handler = {
 type config = {
   socket_path : string;
   tcp : (string * int) option;
-      (* additional TCP listener (host, port; port 0 = ephemeral),
-         speaking the NF1 framed protocol *)
+      (* additional TCP listener (host, port; port 0 = ephemeral) *)
   jobs : int; (* worker domains *)
-  queue_depth : int; (* admission bound on queued requests *)
+  queue_depth : int; (* admission bound on queued requests, per lane *)
   default_deadline_s : float option; (* per-request wall budget *)
   request_fuel : int option; (* per-request Guard fuel budget *)
   journal : Journal.t option;
@@ -78,9 +77,9 @@ type config = {
       (* reap a connected-but-silent client (no partial input, no
          response owed) after this long without a byte *)
   io_deadline_s : float option;
-      (* slow-loris bound: a frame/line that stays incomplete this
-         long closes the connection; also the response-write budget *)
-  max_frame_bytes : int; (* frame payload / request line cap *)
+      (* slow-loris bound: a frame that stays incomplete this long
+         closes the connection; also the response-write budget *)
+  max_frame_bytes : int; (* frame payload cap *)
 }
 
 let default_config ~socket_path =
@@ -103,7 +102,7 @@ type counters = {
   mutable shed : int; (* overload + drain rejections *)
   mutable timeouts : int; (* deadline / fuel responses *)
   mutable internal_errors : int; (* handler exceptions *)
-  mutable bad_requests : int; (* unparseable lines *)
+  mutable bad_requests : int; (* unparseable request payloads *)
   mutable worker_restarts : int; (* escaped-exception supervisions *)
   mutable connections : int; (* lifetime accepted connections *)
   mutable accept_errors : int; (* absorbed accept(2) failures *)
@@ -115,71 +114,64 @@ type counters = {
   mutable bg_retried : int; (* background re-enqueues (backoff) *)
   mutable bg_dropped : int; (* background jobs abandoned after retries *)
   mutable bg_shed : int; (* background submissions refused *)
-  mutable proto_rejects : int; (* legacy / version-mismatched TCP clients *)
+  mutable proto_rejects : int; (* connections that never completed the hello *)
   mutable idle_closed : int; (* silent connections reaped *)
-  mutable frame_errors : int; (* torn / oversized / garbage frames *)
+  mutable frame_errors : int; (* torn / oversized / garbage frames after the hello *)
   mutable io_timeouts : int; (* mid-frame read or response-write overruns *)
 }
 
-(* What the reader thread is parsing on this connection. UDS starts (and
-   stays) in line mode; a TCP connection starts in sniff mode until its
-   first bytes prove it speaks NF1 — anything else is answered with one
-   clear error line and closed (proto_rejects), never left hanging. *)
-type proto =
-  | P_line of Buffer.t (* newline-JSON accumulator *)
-  | P_sniff of Buffer.t (* TCP, transport not yet identified *)
-  | P_framed of Frame.decoder
-
 type conn = {
   fd : Unix.file_descr;
-  wlock : Mutex.t; (* one response line at a time; guards the fields below *)
+  wlock : Mutex.t; (* one response at a time; guards the fields below *)
   mutable alive : bool; (* writing still makes sense *)
   mutable pending : int; (* admitted jobs that will answer on this conn *)
   mutable eof : bool; (* reader finished: no more requests coming *)
   mutable closed : bool; (* fd closed — never touch it again (fd reuse) *)
   (* reader-thread private state — no lock needed *)
-  mutable proto : proto;
-  mutable greeted : bool; (* framed: hello exchanged *)
+  dec : Frame.decoder; (* capped at [max_frame_bytes] *)
+  mutable greeted : bool; (* hello exchanged *)
   mutable last_rx : float; (* uptime at the last byte received *)
   mutable in_started : float option; (* uptime when partial input began *)
 }
 
-type job = {
-  jconn : conn;
-  jid : Json.t;
-  jreq : Json.t;
-  jframe : int option; (* NF1 frame id to tag the response with *)
-  jdeadline : Guard.deadline option;
-  jseq : int option; (* journal sequence number, when journaling *)
+(* A live job answers a client: [frame] tags its response, and its wall
+   budget runs from admission. *)
+type live = {
+  conn : conn;
+  id : Json.t;
+  frame : int;
+  deadline : Guard.deadline option;
 }
 
-(* A background job: handler work with NO client attached — the compile
-   service's tier upgrades ride this lane. Background jobs run only
-   when the live queue is empty (idle workers), each under a fresh
-   per-run deadline/fuel budget, and their journal entries are marked
-   done only after a terminal run — so a kill -9 mid-upgrade replays
-   the job, and replay re-enqueues it here (at lower priority than
-   live traffic) instead of running it before the socket binds. *)
-type bgjob = {
-  breq : Json.t;
-  mutable battempt : int; (* completed runs of this job *)
-  mutable bnot_before : float; (* uptime before which it must not run *)
-  benqueued : float; (* uptime at first enqueue, for age reporting *)
-  bseq : int option; (* journal sequence number, when journaling *)
+(* A background job has NO client attached — the compile service's tier
+   upgrades. Each run gets a fresh deadline/fuel budget, and its
+   journal entry is marked done only after a terminal run — so a
+   kill -9 mid-upgrade replays the job, and replay re-enqueues it here
+   instead of running it before the socket binds. *)
+type bg = {
+  mutable attempt : int; (* completed runs of this job *)
+  mutable not_before : float; (* uptime before which it must not run *)
+  enqueued : float; (* uptime at first enqueue, for age reporting *)
+}
+
+type lane = Live of live | Bg of bg
+
+type job = {
+  req : Json.t;
+  lane : lane;
+  mutable seq : int option; (* journal sequence number, when journaling *)
+  mutable ready : bool; (* false while its journal append is in flight *)
 }
 
 type t = {
   cfg : config;
   handler : handler;
-  queue : job Queue.t; (* guarded by [lock] *)
   lock : Mutex.t; (* queue + counters + conns *)
+  mutable queue : job list; (* both lanes, oldest first; guarded by [lock] *)
   nonempty : Condition.t;
-  drained : Condition.t; (* queue empty and nothing in flight *)
-  mutable inflight : int;
-  mutable admitting : int; (* slots reserved while journaling an admission *)
-  mutable bgq : bgjob list; (* background lane, FIFO by eligibility; guarded by [lock] *)
-  mutable bg_inflight : int;
-  mutable bg_admitting : int; (* slots reserved while journaling a bg submission *)
+  drained : Condition.t; (* no live work queued and nothing live in flight *)
+  mutable inflight : int; (* live jobs running *)
+  mutable bg_inflight : int; (* background jobs running *)
   stopping : bool Atomic.t;
   c : counters;
   started : Mclock.counter;
@@ -195,15 +187,12 @@ let create cfg handler =
   {
     cfg = { cfg with jobs = max 1 cfg.jobs; queue_depth = max 1 cfg.queue_depth };
     handler;
-    queue = Queue.create ();
     lock = Mutex.create ();
+    queue = [];
     nonempty = Condition.create ();
     drained = Condition.create ();
     inflight = 0;
-    admitting = 0;
-    bgq = [];
     bg_inflight = 0;
-    bg_admitting = 0;
     stopping = Atomic.make false;
     c =
       {
@@ -251,6 +240,14 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
+let is_live job = match job.lane with Live _ -> true | Bg _ -> false
+
+(* Queued jobs of one lane — capacity is counted per lane. *)
+let queued_locked t ~live =
+  List.fold_left (fun n j -> if is_live j = live then n + 1 else n) 0 t.queue
+
+let live_backlog_locked t = List.exists (fun j -> j.ready && is_live j) t.queue
+
 (* --- connection lifecycle ---------------------------------------------- *)
 
 (* A connection is released (fd closed, record dropped from [t.conns])
@@ -289,7 +286,7 @@ let conn_release t conn =
 (* --- responses --------------------------------------------------------- *)
 
 (* Whole-string write, restarted across EINTR and short writes: a
-   signal landing mid-response must never tear a frame or a line. *)
+   signal landing mid-response must never tear a frame. *)
 let write_all fd s =
   let n = String.length s in
   let rec go off =
@@ -300,22 +297,16 @@ let write_all fd s =
   in
   go 0
 
-(* Best-effort response write: a client that hung up loses its answer,
-   nobody else does (EPIPE never escapes into a worker). With an I/O
-   deadline configured the socket carries SO_SNDTIMEO, so a peer that
-   stops draining its responses surfaces here as EAGAIN — the write
-   gives up, the connection dies, and the overrun is counted instead of
-   parking a worker on a full socket buffer forever. [frame] tags the
-   response for the NF1 transport; [None] writes a JSON line. *)
-let answer t ?frame conn (json : Json.t) =
+(* Best-effort write: a client that hung up loses its answer, nobody
+   else does (EPIPE never escapes into a worker). With an I/O deadline
+   configured the socket carries SO_SNDTIMEO, so a peer that stops
+   draining its responses surfaces here as EAGAIN — the write gives up,
+   the connection dies, and the overrun is counted instead of parking a
+   worker on a full socket buffer forever. *)
+let send t conn s =
   let timed_out = ref false in
   Mutex.lock conn.wlock;
   (if conn.alive then
-     let s =
-       match frame with
-       | Some fid -> Frame.encode ~id:fid (Json.to_string json)
-       | None -> Json.to_string json ^ "\n"
-     in
      try write_all conn.fd s with
      | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
          conn.alive <- false;
@@ -324,6 +315,9 @@ let answer t ?frame conn (json : Json.t) =
   Mutex.unlock conn.wlock;
   (* counter update outside wlock: t.lock and conn.wlock never nest *)
   if !timed_out then locked t (fun () -> t.c.io_timeouts <- t.c.io_timeouts + 1)
+
+let answer t conn ~frame (json : Json.t) =
+  send t conn (Frame.encode ~id:frame (Json.to_string json))
 
 let error_response ~id ~code ?(retryable = false) detail =
   Json.Obj
@@ -345,13 +339,16 @@ let status_response t ~id =
         let now = uptime_s t in
         let oldest =
           List.fold_left
-            (fun acc bj -> Float.max acc (now -. bj.benqueued))
-            0.0 t.bgq
+            (fun acc j ->
+              match j.lane with
+              | Bg b -> Float.max acc (now -. b.enqueued)
+              | Live _ -> acc)
+            0.0 t.queue
         in
-        ( Queue.length t.queue,
+        ( queued_locked t ~live:true,
           t.inflight,
           List.length t.conns,
-          List.length t.bgq,
+          queued_locked t ~live:false,
           t.bg_inflight,
           oldest ))
   in
@@ -415,28 +412,32 @@ let request_deadline t req =
   in
   Option.map (fun seconds -> Guard.deadline ~what:"request" ~seconds) explicit
 
-let process t job =
-  let id = job.jid in
+(* The one budget wrapper — live requests, background runs and journal
+   replay all call the handler under Guard fuel and a wall deadline. *)
+let run_budgeted t ~what deadline req =
+  let body () = t.handler.handle req in
+  let body =
+    match t.cfg.request_fuel with
+    | Some budget -> fun () -> Guard.with_fuel (Guard.fuel ~what ~budget) body
+    | None -> body
+  in
+  match deadline with Some d -> Guard.with_deadline d body | None -> body ()
+
+let mark_done t job =
+  match (t.cfg.journal, job.seq) with
+  | Some j, Some seq -> Journal.mark_done j seq
+  | _ -> ()
+
+let process t job l =
+  let id = l.id in
   let response =
-    match job.jdeadline with
+    match l.deadline with
     | Some d when Guard.expired d ->
         (* expired while queued: don't burn a compile on a dead request *)
         locked t (fun () -> t.c.timeouts <- t.c.timeouts + 1);
         error_response ~id ~code:"deadline" "deadline exceeded while queued"
     | deadline -> (
-        let body () = t.handler.handle job.jreq in
-        let body =
-          match t.cfg.request_fuel with
-          | Some budget ->
-              fun () -> Guard.with_fuel (Guard.fuel ~what:"request" ~budget) body
-          | None -> body
-        in
-        let body =
-          match deadline with
-          | Some d -> fun () -> Guard.with_deadline d body
-          | None -> body
-        in
-        match body () with
+        match run_budgeted t ~what:"request" deadline job.req with
         | resp ->
             locked t (fun () -> t.c.served <- t.c.served + 1);
             with_id ~id resp
@@ -463,10 +464,8 @@ let process t job =
      that has read its response can never observe its own request as
      journal-pending. A crash in the gap loses only the response bytes,
      not the work: the client's retry recompiles from the memo. *)
-  (match (t.cfg.journal, job.jseq) with
-  | Some j, Some seq -> Journal.mark_done j seq
-  | _ -> ());
-  answer t ?frame:job.jframe job.jconn response
+  mark_done t job;
+  answer t l.conn ~frame:l.frame response
 
 (* --- background lane ---------------------------------------------------- *)
 
@@ -485,136 +484,130 @@ let set_field name v = function
   | Json.Obj fields -> Json.Obj ((name, v) :: List.remove_assoc name fields)
   | other -> other
 
-let bg_finish t bj ~dropped =
-  (match (t.cfg.journal, bj.bseq) with
-  | Some j, Some seq -> Journal.mark_done j seq
-  | _ -> ());
+let bg_job t ?seq req =
+  {
+    req;
+    lane = Bg { attempt = 0; not_before = 0.0; enqueued = uptime_s t };
+    seq;
+    ready = true;
+  }
+
+let bg_finish t job ~dropped =
+  mark_done t job;
   locked t (fun () ->
       if dropped then t.c.bg_dropped <- t.c.bg_dropped + 1
       else t.c.bg_done <- t.c.bg_done + 1)
 
-let bg_requeue t bj ~delay =
-  bj.battempt <- bj.battempt + 1;
-  bj.bnot_before <- uptime_s t +. Float.max 0.0 delay;
+let bg_requeue t job b ~delay =
+  b.attempt <- b.attempt + 1;
+  b.not_before <- uptime_s t +. Float.max 0.0 delay;
   locked t (fun () ->
-      t.bgq <- t.bgq @ [ bj ];
+      t.queue <- t.queue @ [ job ];
       t.c.bg_retried <- t.c.bg_retried + 1;
       Condition.signal t.nonempty)
 
-(* One background run: same budget wrapping as [process], no client to
-   answer. The handler's response steers the lane — "retry_after_s"
-   re-enqueues the job after that delay (attempts capped), anything
-   else is terminal and completes the journal entry. An exception is
-   an implicit retry with deterministic backoff: transient pressure
-   (deadline, memory) may clear; after [bg_max_attempts] the job is
-   dropped — the floor entry it would have upgraded stays served. *)
-let process_bg t bj =
+(* One background run: no client to answer. The handler's response
+   steers the lane — "retry_after_s" re-enqueues the job after that
+   delay (attempts capped), anything else is terminal and completes the
+   journal entry. An exception is an implicit retry with deterministic
+   backoff: transient pressure (deadline, memory) may clear; after
+   [bg_max_attempts] the job is dropped — the floor entry it would have
+   upgraded stays served. *)
+let process_bg t job b =
   locked t (fun () -> t.c.bg_run <- t.c.bg_run + 1);
-  let req = set_field "bg_attempt" (Json.Int bj.battempt) bj.breq in
-  let body () = t.handler.handle req in
-  let body =
-    match t.cfg.request_fuel with
-    | Some budget -> fun () -> Guard.with_fuel (Guard.fuel ~what:"bg" ~budget) body
-    | None -> body
-  in
-  let body =
-    match request_deadline t bj.breq with
-    | Some d -> fun () -> Guard.with_deadline d body
-    | None -> body
-  in
-  match body () with
+  let req = set_field "bg_attempt" (Json.Int b.attempt) job.req in
+  match run_budgeted t ~what:"bg" (request_deadline t job.req) req with
   | resp -> (
       match Json.float_member "retry_after_s" resp with
-      | Some d when bj.battempt + 1 < bg_max_attempts -> bg_requeue t bj ~delay:d
-      | Some _ -> bg_finish t bj ~dropped:true
-      | None -> bg_finish t bj ~dropped:false)
+      | Some d when b.attempt + 1 < bg_max_attempts -> bg_requeue t job b ~delay:d
+      | Some _ -> bg_finish t job ~dropped:true
+      | None -> bg_finish t job ~dropped:false)
   | exception _ ->
-      if bj.battempt + 1 < bg_max_attempts then
-        let seed = match bj.bseq with Some s -> s | None -> 1 in
-        bg_requeue t bj
-          ~delay:(Retry.delay_s bg_backoff ~seed ~attempt:(bj.battempt + 1))
-      else bg_finish t bj ~dropped:true
+      if b.attempt + 1 < bg_max_attempts then
+        let seed = match job.seq with Some s -> s | None -> 1 in
+        bg_requeue t job b
+          ~delay:(Retry.delay_s bg_backoff ~seed ~attempt:(b.attempt + 1))
+      else bg_finish t job ~dropped:true
 
-(* Take the first eligible background job: FIFO among jobs whose
-   backoff delay has elapsed. Called under [t.lock]. *)
-let take_bg_locked t =
-  if Guard.mem_level () <> `Ok then None
-    (* memory pressure sheds the background lane first: upgrades are
-       deferred (the ticker re-offers them), live work keeps the
-       remaining headroom *)
-  else if t.bg_inflight >= max 1 (t.cfg.jobs - 1) then None
-    (* at most jobs-1 workers upgrade concurrently: a live request must
-       never queue behind a burst of in-flight background compiles, so
-       one worker always stays on the live lane (a single-worker server
-       has no spare and alternates, live first) *)
-  else
-    let now = uptime_s t in
-    let rec split acc = function
-      | [] -> None
-      | bj :: rest when bj.bnot_before <= now ->
-          t.bgq <- List.rev_append acc rest;
-          t.bg_inflight <- t.bg_inflight + 1;
-          Some bj
-      | bj :: rest -> split (bj :: acc) rest
-    in
-    split [] t.bgq
+(* The scheduling rules, all in one place. Called under [t.lock]; the
+   job taken is counted in flight.
+   - Live work first, FIFO.
+   - A background job runs only after its backoff delay, FIFO among the
+     eligible.
+   - At most jobs-1 workers run background jobs: a live request must
+     never queue behind a burst of in-flight upgrades, so one worker
+     always stays on the live lane (a single-worker server has no spare
+     and alternates, live first).
+   - Memory pressure defers background work (the ticker re-offers it);
+     live work keeps the remaining headroom.
+   - A draining server runs no background job: journaled ones stay
+     pending and the next start re-enqueues them — the drain contract
+     covers admitted LIVE work only. *)
+let take_locked t =
+  let pick =
+    match List.find_opt (fun j -> j.ready && is_live j) t.queue with
+    | Some _ as live -> live
+    | None
+      when stopping t
+           || Guard.mem_level () <> `Ok
+           || t.bg_inflight >= max 1 (t.cfg.jobs - 1) ->
+        None
+    | None ->
+        let now = uptime_s t in
+        List.find_opt
+          (fun j ->
+            j.ready && match j.lane with Bg b -> b.not_before <= now | Live _ -> false)
+          t.queue
+  in
+  Option.iter
+    (fun j ->
+      t.queue <- List.filter (fun k -> k != j) t.queue;
+      match j.lane with
+      | Live _ -> t.inflight <- t.inflight + 1
+      | Bg _ -> t.bg_inflight <- t.bg_inflight + 1)
+    pick;
+  pick
+
+let finish t job =
+  (match job.lane with Live l -> conn_release t l.conn | Bg _ -> ());
+  locked t (fun () ->
+      (match job.lane with
+      | Live _ -> t.inflight <- t.inflight - 1
+      | Bg _ -> t.bg_inflight <- t.bg_inflight - 1);
+      if t.inflight = 0 && not (live_backlog_locked t) then
+        Condition.broadcast t.drained;
+      (* a freed slot may unblock a capped background job immediately;
+         the ticker would otherwise delay it a beat *)
+      if t.queue <> [] then Condition.signal t.nonempty)
 
 let rec worker_loop t =
   Mutex.lock t.lock;
   let rec next () =
-    match Queue.take_opt t.queue with
-    | Some j ->
-        t.inflight <- t.inflight + 1;
-        Mutex.unlock t.lock;
-        `Live j
+    match take_locked t with
+    | Some _ as job -> job
+    | None when stopping t -> None
     | None ->
-        if stopping t then begin
-          (* pending background jobs are abandoned here, not run:
-             journaled ones stay pending and the next start re-enqueues
-             them — the drain contract covers admitted LIVE work only *)
-          Mutex.unlock t.lock;
-          `Stop
-        end
-        else begin
-          (match take_bg_locked t with
-          | Some bj ->
-              Mutex.unlock t.lock;
-              `Bg bj
-          | None ->
-              Condition.wait t.nonempty t.lock;
-              next ())
-        end
+        Condition.wait t.nonempty t.lock;
+        next ()
   in
-  match next () with
-  | `Stop -> ()
-  | `Live job ->
+  let job = next () in
+  Mutex.unlock t.lock;
+  match job with
+  | None -> ()
+  | Some job ->
       Fun.protect
-        ~finally:(fun () ->
-          conn_release t job.jconn;
-          Mutex.lock t.lock;
-          t.inflight <- t.inflight - 1;
-          if t.inflight = 0 && Queue.is_empty t.queue then Condition.broadcast t.drained;
-          Mutex.unlock t.lock)
-        (fun () -> process t job);
-      worker_loop t
-  | `Bg bj ->
-      Fun.protect
-        ~finally:(fun () ->
-          locked t (fun () ->
-              t.bg_inflight <- t.bg_inflight - 1;
-              (* a freed slot may unblock a capped waiter immediately;
-                 the ticker would otherwise delay it a beat *)
-              if t.bgq <> [] then Condition.signal t.nonempty))
-        (fun () -> process_bg t bj);
+        ~finally:(fun () -> finish t job)
+        (fun () ->
+          match job.lane with Live l -> process t job l | Bg b -> process_bg t job b);
       worker_loop t
 
 (* Supervision: [process] already guards the handler, so nothing should
    escape — but "should" is not a failure-domain boundary. If something
    does (a write path bug, an allocation failure), the worker restarts
    its loop instead of silently shrinking the pool. During a drain the
-   restart condition is the queue, not the stopping flag: admitted
-   requests must still be answered, and if this was the last live
-   worker, exiting here would leave [run] waiting on [drained]
+   restart condition is the live backlog, not the stopping flag:
+   admitted requests must still be answered, and if this was the last
+   live worker, exiting here would leave [run] waiting on [drained]
    forever. *)
 let rec worker_main t =
   try worker_loop t
@@ -622,198 +615,121 @@ let rec worker_main t =
     let restart =
       locked t (fun () ->
           t.c.worker_restarts <- t.c.worker_restarts + 1;
-          (not (stopping t)) || not (Queue.is_empty t.queue))
+          (not (stopping t)) || live_backlog_locked t)
     in
     if restart then worker_main t
 
 (* --- admission --------------------------------------------------------- *)
 
-let enqueue t conn ?frame ~id req =
-  (* Retained up front (outside t.lock — the locks never nest): an
-     admitted job owns a ref on its connection until its response is
-     written. The shed paths give the ref straight back; they run on
-     the reader thread, so [eof] is still false and the release cannot
-     be the closing one. *)
-  conn_retain conn;
+let draining = "server is draining; retry against a fresh instance"
+
+(* The one admission path, for both lanes: one stopping / capacity /
+   memory check, then the job is queued — journaled (fsync'd) first
+   when a journal is configured. Capacity is counted per lane, so a
+   background backlog never sheds a live request. The fsync must not
+   run under t.lock (workers take it between every job), so the job is
+   queued not-ready first — the reservation keeps check-plus-add atomic
+   — and made ready after the write. Stopping is re-checked then: it
+   is monotonic, so seeing it clear under the lock proves no worker has
+   exited yet and the job will be drained. If a stop slipped in while
+   journaling, a live job is withdrawn and shed exactly as if it had
+   arrived after the flag (its entry marked done), while a background
+   job's entry stays PENDING — nobody resubmits an upgrade the journal
+   forgets, so the next start re-enqueues it — and counts as accepted.
+   [Error (code, detail)] is a refusal; nothing was journaled. *)
+let admit t job =
+  let live = is_live job in
   Mutex.lock t.lock;
-  if stopping t then begin
-    t.c.shed <- t.c.shed + 1;
+  let refuse ?(mem = false) code detail =
+    if live then begin
+      t.c.shed <- t.c.shed + 1;
+      if mem then t.c.mem_shed <- t.c.mem_shed + 1
+    end
+    else t.c.bg_shed <- t.c.bg_shed + 1;
     Mutex.unlock t.lock;
-    conn_release t conn;
-    answer t ?frame conn
-      (error_response ~id ~code:"shutting-down" ~retryable:true
-         "server is draining; retry against a fresh instance")
-  end
-  else if Queue.length t.queue + t.admitting >= t.cfg.queue_depth then begin
-    t.c.shed <- t.c.shed + 1;
-    Mutex.unlock t.lock;
-    conn_release t conn;
-    answer t ?frame conn
-      (error_response ~id ~code:"overloaded" ~retryable:true
-         (Printf.sprintf "queue full (%d requests); back off and retry"
-            t.cfg.queue_depth))
-  end
-  else if Guard.mem_level () <> `Ok then begin
+    Error (code, detail)
+  in
+  let load = queued_locked t ~live + if live then 0 else t.bg_inflight in
+  if stopping t then refuse "shutting-down" draining
+  else if load >= t.cfg.queue_depth then
+    refuse "overloaded"
+      (Printf.sprintf "queue full (%d requests); back off and retry"
+         t.cfg.queue_depth)
+  else if Guard.mem_level () <> `Ok then
     (* Memory watchdog, first line of defence: past the shed fraction
        of NASCENT_MEM_BUDGET, refuse new work before any in-flight
        request has to be aborted. Same contract as queue overload —
        retryable, so clients back off. *)
-    t.c.shed <- t.c.shed + 1;
-    t.c.mem_shed <- t.c.mem_shed + 1;
-    Mutex.unlock t.lock;
-    conn_release t conn;
-    answer t ?frame conn
-      (error_response ~id ~code:"overloaded" ~retryable:true
-         "memory pressure: heap near budget; back off and retry")
-  end
+    refuse ~mem:true "overloaded"
+      "memory pressure: heap near budget; back off and retry"
   else begin
-    (* the deadline clock starts at admission: queue wait counts *)
+    job.ready <- t.cfg.journal = None;
+    t.queue <- t.queue @ [ job ];
     match t.cfg.journal with
     | None ->
-        let job =
-          {
-            jconn = conn;
-            jid = id;
-            jreq = req;
-            jframe = frame;
-            jdeadline = request_deadline t req;
-            jseq = None;
-          }
-        in
-        Queue.add job t.queue;
         Condition.signal t.nonempty;
-        Mutex.unlock t.lock
-    | Some j ->
-        (* Journaled admission: the fsync must not run under t.lock
-           (workers take it between every job), so the queue slot is
-           reserved via [admitting] first — check-plus-add stays
-           atomic — and the stopping flag is re-checked after the
-           write: stopping is monotonic, so seeing it clear under the
-           lock here proves no worker has exited yet and the job will
-           be drained. If a stop slipped in while we were journaling,
-           the entry is marked done and the request shed exactly as if
-           it had arrived after the flag. *)
-        t.admitting <- t.admitting + 1;
         Mutex.unlock t.lock;
-        let seq = Journal.append j (Json.to_string req) in
+        Ok ()
+    | Some j ->
+        Mutex.unlock t.lock;
+        let seq = Journal.append j (Json.to_string job.req) in
         Mutex.lock t.lock;
-        t.admitting <- t.admitting - 1;
+        job.seq <- Some seq;
         if stopping t then begin
-          t.c.shed <- t.c.shed + 1;
+          t.queue <- List.filter (fun k -> k != job) t.queue;
+          if live then t.c.shed <- t.c.shed + 1;
           Mutex.unlock t.lock;
-          Journal.mark_done j seq;
-          conn_release t conn;
-          answer t ?frame conn
-            (error_response ~id ~code:"shutting-down" ~retryable:true
-               "server is draining; retry against a fresh instance")
+          if live then begin
+            Journal.mark_done j seq;
+            Error ("shutting-down", draining)
+          end
+          else Ok ()
         end
         else begin
-          let job =
-            {
-              jconn = conn;
-              jid = id;
-              jreq = req;
-              jframe = frame;
-              jdeadline = request_deadline t req;
-              jseq = Some seq;
-            }
-          in
-          Queue.add job t.queue;
+          job.ready <- true;
           Condition.signal t.nonempty;
-          Mutex.unlock t.lock
+          Mutex.unlock t.lock;
+          Ok ()
         end
   end
 
 (* Submit handler work to the background lane — no client, no response;
-   used by the compile service for tier upgrades. Journaled (when a
-   journal is configured) under a "lane":"bg" envelope mark BEFORE the
-   job is visible to a worker, so a kill -9 between submission and
-   completion replays it; the entry is marked done only by a terminal
-   run ([bg_finish]). Returns false — and journals nothing — when the
-   server is draining or the lane is at capacity: the caller's floor
-   entry keeps being served, and a later cold request resubmits. *)
+   used by the compile service for tier upgrades, journaled under a
+   "lane":"bg" envelope mark. Returns false — and journals nothing —
+   when the server is draining or the lane is at capacity: the caller's
+   floor entry keeps being served, and a later cold request
+   resubmits. *)
 let submit_background t (req : Json.t) =
-  if stopping t then false
-  else begin
-    let req = set_field "lane" (Json.Str "bg") req in
-    Mutex.lock t.lock;
-    if
-      List.length t.bgq + t.bg_inflight + t.bg_admitting >= t.cfg.queue_depth
-      || Guard.mem_level () <> `Ok
-    then begin
-      t.c.bg_shed <- t.c.bg_shed + 1;
-      Mutex.unlock t.lock;
-      false
-    end
-    else begin
-      match t.cfg.journal with
-      | None ->
-          t.bgq <-
-            t.bgq
-            @ [
-                {
-                  breq = req;
-                  battempt = 0;
-                  bnot_before = 0.0;
-                  benqueued = uptime_s t;
-                  bseq = None;
-                };
-              ];
-          Condition.signal t.nonempty;
-          Mutex.unlock t.lock;
-          true
-      | Some j ->
-          (* fsync outside t.lock, slot reserved via [bg_admitting] —
-             same discipline as journaled live admission *)
-          t.bg_admitting <- t.bg_admitting + 1;
-          Mutex.unlock t.lock;
-          let seq = Journal.append j (Json.to_string req) in
-          Mutex.lock t.lock;
-          t.bg_admitting <- t.bg_admitting - 1;
-          if stopping t then begin
-            (* Draining: leave the entry PENDING — unlike a shed live
-               request (whose client retries), nobody will resubmit an
-               upgrade the journal forgets; the next start re-enqueues
-               it. Report the submission as accepted. *)
-            Mutex.unlock t.lock;
-            true
-          end
-          else begin
-            t.bgq <-
-              t.bgq
-              @ [
-                  {
-                    breq = req;
-                    battempt = 0;
-                    bnot_before = 0.0;
-                    benqueued = uptime_s t;
-                    bseq = Some seq;
-                  };
-                ];
-            Condition.signal t.nonempty;
-            Mutex.unlock t.lock;
-            true
-          end
-    end
-  end
+  Result.is_ok (admit t (bg_job t (set_field "lane" (Json.Str "bg") req)))
 
-(* One request body (a line or a frame payload), parsed and dispatched.
-   [frame] tags the response for the NF1 transport. *)
-let handle_request t conn ?frame body =
-  if String.trim body = "" then ()
-  else
-    match Json.parse body with
-    | Error msg ->
-        locked t (fun () -> t.c.bad_requests <- t.c.bad_requests + 1);
-        answer t ?frame conn (error_response ~id:Json.Null ~code:"bad-request" msg)
-    | Ok req -> (
-        let id = Option.value ~default:Json.Null (Json.member "id" req) in
-        match Json.str_member "op" req with
-        | Some "status" ->
-            (* answered inline by the reader thread: status must work
-               even when the queue is full and every worker is busy *)
-            answer t ?frame conn (status_response t ~id)
-        | _ -> enqueue t conn ?frame ~id req)
+(* One frame payload, parsed and dispatched; [frame] tags the
+   response. *)
+let handle_request t conn ~frame body =
+  match Json.parse body with
+  | Error msg ->
+      locked t (fun () -> t.c.bad_requests <- t.c.bad_requests + 1);
+      answer t conn ~frame (error_response ~id:Json.Null ~code:"bad-request" msg)
+  | Ok req -> (
+      let id = Option.value ~default:Json.Null (Json.member "id" req) in
+      match Json.str_member "op" req with
+      | Some "status" ->
+          (* answered inline by the reader thread: status must work
+             even when the queue is full and every worker is busy *)
+          answer t conn ~frame (status_response t ~id)
+      | _ -> (
+          (* Retained up front (outside t.lock — the locks never nest):
+             an admitted job owns a ref on its connection until its
+             response is written. A refusal gives the ref straight
+             back; it runs on the reader thread, so [eof] is still
+             false and the release cannot be the closing one. The
+             deadline clock starts at admission: queue wait counts. *)
+          conn_retain conn;
+          let l = { conn; id; frame; deadline = request_deadline t req } in
+          match admit t { req; lane = Live l; seq = None; ready = true } with
+          | Ok () -> ()
+          | Error (code, detail) ->
+              conn_release t conn;
+              answer t conn ~frame (error_response ~id ~code ~retryable:true detail)))
 
 (* --- connections ------------------------------------------------------- *)
 
@@ -823,135 +739,70 @@ let hello_ack t =
       Json.Obj (fields @ [ ("max_frame_bytes", Json.Int t.cfg.max_frame_bytes) ])
   | other -> other
 
-(* One clear line, then close: the answer a client gets when it speaks
-   the wrong protocol at the TCP port — newline JSON where NF1 frames
-   are expected, or an NF1 version this build does not know. A line is
-   readable by both kinds of peer, and closing right away turns a
-   would-be hang into an actionable error. *)
+(* One clear line, then close: the answer to a peer whose first bytes
+   are not an NF1 hello — newline JSON, garbage, or an NF1 version this
+   build does not know. A line is readable by any kind of peer, and
+   closing right away turns a would-be hang into an actionable error.
+   Every connection that never completes the hello is counted here,
+   and only here. *)
 let proto_reject t conn detail =
   locked t (fun () -> t.c.proto_rejects <- t.c.proto_rejects + 1);
-  answer t conn
-    (error_response ~id:Json.Null ~code:"proto-mismatch"
-       (Printf.sprintf
-          "%s; this port speaks the NF1 framed protocol v%d (the Unix socket \
-           speaks newline JSON)"
-          detail Frame.version))
+  send t conn
+    (Json.to_string
+       (error_response ~id:Json.Null ~code:"proto-mismatch"
+          (Printf.sprintf "%s; this server speaks the NF1 framed protocol v%d"
+             detail Frame.version))
+    ^ "\n")
 
 (* Drain every complete frame buffered in the decoder. The first frame
    must be the hello (the version handshake); after that each payload
    is an ordinary request tagged with its frame id — the pipelining
    tag that lets responses complete out of order on one socket.
    Returns false when the connection must close. *)
-let rec drain_frames t conn dec =
-  match Frame.next dec with
+let rec drain_frames t conn =
+  match Frame.next conn.dec with
   | Ok None -> true
-  | Ok (Some f) ->
-      if conn.greeted then begin
-        handle_request t conn ~frame:f.Frame.id f.Frame.payload;
-        drain_frames t conn dec
-      end
-      else begin
+  | Ok (Some f) when conn.greeted ->
+      handle_request t conn ~frame:f.Frame.id f.Frame.payload;
+      drain_frames t conn
+  | Ok (Some f) -> (
+      let hello =
         match Json.parse f.Frame.payload with
-        | Ok j -> (
-            match Frame.check_hello j with
-            | Ok _ ->
-                conn.greeted <- true;
-                answer t ~frame:f.Frame.id conn (hello_ack t);
-                drain_frames t conn dec
-            | Error msg ->
-                proto_reject t conn msg;
-                false)
-        | Error _ ->
-            proto_reject t conn "first frame is not an NF1 hello";
-            false
-      end
-  | Error e ->
-      (* torn, oversized, or garbage: the stream has no resync point,
-         so the error is terminal for this connection (and only it) *)
-      locked t (fun () -> t.c.frame_errors <- t.c.frame_errors + 1);
-      (if conn.greeted then
-         (* past the hello this peer speaks frames, so the terminal
-            error must be a frame too (id 0 — no request to tag it to);
-            a retrying client sees well-formed bytes then EOF, not a
-            protocol mismatch *)
-         answer t ~frame:0 conn
-           (error_response ~id:Json.Null ~code:"frame-error"
-              (Format.asprintf "%a; closing connection" Frame.pp_error e))
-       else
-         match e with
-         | Frame.Bad_version v ->
-             proto_reject t conn (Printf.sprintf "protocol version %d" v)
-         | Frame.Bad_magic -> proto_reject t conn "not an NF1 stream"
-         | e ->
-             answer t conn
-               (error_response ~id:Json.Null ~code:"frame-error"
-                  (Format.asprintf "%a; closing connection" Frame.pp_error e)));
-      false
-
-(* Feed [n] freshly read bytes through the connection's protocol state.
-   Returns false when the connection must close. *)
-let consume t conn buf n =
-  match conn.proto with
-  | P_line acc ->
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        let ch = Bytes.get buf i in
-        if ch = '\n' then begin
-          let line = Buffer.contents acc in
-          Buffer.clear acc;
-          handle_request t conn line
-        end
-        else Buffer.add_char acc ch
-      done;
-      if Buffer.length acc > t.cfg.max_frame_bytes then begin
-        (* a line refusing to end is the line-mode slow-loris *)
-        locked t (fun () -> t.c.bad_requests <- t.c.bad_requests + 1);
-        answer t conn
-          (error_response ~id:Json.Null ~code:"bad-request"
-             (Printf.sprintf "request line exceeds %d bytes" t.cfg.max_frame_bytes));
-        ok := false
-      end;
-      !ok
-  | P_framed dec ->
-      Frame.feed_bytes dec buf ~off:0 ~len:n;
-      drain_frames t conn dec
-  | P_sniff acc ->
-      Buffer.add_subbytes acc buf 0 n;
-      (* Decide as early as the bytes allow: the magic is checked
-         position by position, so a legacy "{...}" client is rejected
-         on its first byte, not after 4. *)
-      let have = Buffer.length acc in
-      let magic = "NF1" in
-      let rec magic_ok i =
-        i >= min have 3 || (Buffer.nth acc i = magic.[i] && magic_ok (i + 1))
+        | Ok j -> Frame.check_hello j
+        | Error _ -> Error "first frame is not an NF1 hello"
       in
-      if not (magic_ok 0) then begin
-        proto_reject t conn "expected an NF1 frame, got something else";
-        false
-      end
-      else if have >= 4 && Buffer.nth acc 3 <> Char.chr Frame.version then begin
-        locked t (fun () -> t.c.frame_errors <- t.c.frame_errors + 1);
-        proto_reject t conn
-          (Printf.sprintf "protocol version %d" (Char.code (Buffer.nth acc 3)));
-        false
-      end
-      else if have >= 4 then begin
-        let dec = Frame.decoder ~max_payload:t.cfg.max_frame_bytes () in
-        Frame.feed dec (Buffer.contents acc) ~off:0 ~len:have;
-        conn.proto <- P_framed dec;
-        drain_frames t conn dec
-      end
-      else true
-
-let mid_input conn =
-  match conn.proto with
-  | P_line b | P_sniff b -> Buffer.length b > 0
-  | P_framed d -> Frame.mid_frame d
+      match hello with
+      | Ok _ ->
+          conn.greeted <- true;
+          answer t conn ~frame:f.Frame.id (hello_ack t);
+          drain_frames t conn
+      | Error msg ->
+          proto_reject t conn msg;
+          false)
+  | Error e when conn.greeted ->
+      (* Torn, oversized, or garbage: the stream has no resync point, so
+         the error is terminal for this connection (and only it). The
+         peer speaks frames, so it gets a frame with id 0 — no request
+         to tag it to — which a client takes as the answer to its
+         exchange in flight. A tear or garbage may be a transient
+         network fault; a forged length or id would be sent again
+         verbatim, so retrying it cannot help. *)
+      locked t (fun () -> t.c.frame_errors <- t.c.frame_errors + 1);
+      let retryable =
+        match e with Frame.Oversized _ | Frame.Bad_id -> false | _ -> true
+      in
+      answer t conn ~frame:0
+        (error_response ~id:Json.Null ~code:"frame-error" ~retryable
+           (Format.asprintf "%a; closing connection" Frame.pp_error e));
+      false
+  | Error e ->
+      proto_reject t conn (Format.asprintf "%a" Frame.pp_error e);
+      false
 
 (* The reader loop: select with a timeout derived from the two network
    budgets, then read. [io_deadline_s] bounds how long a started frame
-   or line may stay incomplete (the slow-loris bound — a worker is
-   never involved, but the conn record and fd must not leak either);
+   may stay incomplete (the slow-loris bound — a worker is never
+   involved, but the conn record and fd must not leak either);
    [idle_timeout_s] reaps a connection with no partial input and no
    response owed. A response in flight (pending > 0) never counts as
    idle: the client is waiting on us, not the other way around. *)
@@ -967,7 +818,7 @@ let serve_conn t conn =
     in
     let idle_deadline =
       match t.cfg.idle_timeout_s with
-      | Some d when not (mid_input conn) -> Some (conn.last_rx +. d)
+      | Some d when not (Frame.mid_frame conn.dec) -> Some (conn.last_rx +. d)
       | _ -> None
     in
     let timeout =
@@ -983,16 +834,12 @@ let serve_conn t conn =
         (* a budget expired (select can only time out when one was
            armed); decide which, re-checking liveness under wlock *)
         match (io_deadline, idle_deadline) with
-        | Some dl, _ when now +. timeout >= dl -. 0.000001 && mid_input conn ->
+        | Some dl, _
+          when now +. timeout >= dl -. 0.000001 && Frame.mid_frame conn.dec ->
             locked t (fun () -> t.c.io_timeouts <- t.c.io_timeouts + 1);
-            let resp =
-              error_response ~id:Json.Null ~code:"io-timeout"
-                "frame not completed within the I/O deadline"
-            in
-            (* a greeted framed peer must see a well-formed frame, not
-               a stray line it would decode as garbage *)
-            if conn.greeted then answer t ~frame:0 conn resp
-            else answer t conn resp
+            answer t conn ~frame:0
+              (error_response ~id:Json.Null ~code:"io-timeout" ~retryable:true
+                 "frame not completed within the I/O deadline")
         | _, Some dl when now +. timeout >= dl -. 0.000001 -> (
             Mutex.lock conn.wlock;
             let quiet = conn.pending = 0 in
@@ -1014,9 +861,10 @@ let serve_conn t conn =
         | 0 -> ()
         | n ->
             conn.last_rx <- uptime_s t;
-            let keep = consume t conn buf n in
+            Frame.feed_bytes conn.dec buf ~off:0 ~len:n;
+            let keep = drain_frames t conn in
             conn.in_started <-
-              (if mid_input conn then
+              (if Frame.mid_frame conn.dec then
                  match conn.in_started with None -> Some conn.last_rx | s -> s
                else None);
             if keep then loop ())
@@ -1087,41 +935,20 @@ let replay_journal t j =
           match Json.parse e.Journal.payload with
           | Error _ -> true (* checksummed at append; nothing to rescue *)
           | Ok req when Json.str_member "lane" req = Some "bg" ->
-            (* A background (upgrade) job the crash interrupted: do NOT
-               run it here — replay must never starve admission, and an
-               upgrade can be slow. Re-enqueue it on the background
-               lane (same journal seq, so completion marks the original
-               entry done) and let idle workers resume it after the
-               socket is serving; live traffic admitted from the first
-               accepted connection outranks it by construction. *)
+              (* A background (upgrade) job the crash interrupted: do NOT
+                 run it here — replay must never starve admission, and an
+                 upgrade can be slow. Re-enqueue it on the background
+                 lane (same journal seq, so completion marks the original
+                 entry done) and let idle workers resume it after the
+                 socket is serving; live traffic admitted from the first
+                 accepted connection outranks it by construction. *)
               locked t (fun () ->
-                  t.bgq <-
-                    t.bgq
-                    @ [
-                        {
-                          breq = req;
-                          battempt = 0;
-                          bnot_before = 0.0;
-                          benqueued = uptime_s t;
-                          bseq = Some e.Journal.seq;
-                        };
-                      ];
+                  t.queue <- t.queue @ [ bg_job t ~seq:e.Journal.seq req ];
                   t.c.replayed <- t.c.replayed + 1);
               false
           | Ok req ->
-              let body () = t.handler.handle req in
-              let body =
-                match t.cfg.request_fuel with
-                | Some budget ->
-                    fun () -> Guard.with_fuel (Guard.fuel ~what:"replay" ~budget) body
-                | None -> body
-              in
-              let body =
-                match request_deadline t req with
-                | Some d -> fun () -> Guard.with_deadline d body
-                | None -> body
-              in
-              (try ignore (body ()) with _ -> ());
+              (try ignore (run_budgeted t ~what:"replay" (request_deadline t req) req)
+               with _ -> ());
               true
         in
         if finished then begin
@@ -1134,39 +961,35 @@ let replay_journal t j =
 
 (* Serve until [stop]: accept loop in the calling thread, one reader
    thread per connection, [cfg.jobs] worker domains. Returns after the
-   drain completes: queue empty, nothing in flight, every response
-   written, workers and readers joined, socket file removed. *)
+   drain completes: no live work queued, nothing in flight, every
+   response written, workers and readers joined, socket file removed. *)
 let run_serving t =
   (* TCP binds first, so the UDS socket file appearing — the ready
      signal clients and the supervisor poll for — implies both
-     transports are listening. *)
+     listeners are up. *)
   let tcp_listener =
     match t.cfg.tcp with
-    | None -> None
+    | None -> []
     | Some (host, port) ->
         let fd, bound = listen_tcp host port in
         t.tcp_bound <- Some bound;
-        Some fd
+        [ fd ]
   in
-  let listen_fd = listen_socket t.cfg.socket_path in
-  let listeners =
-    listen_fd :: (match tcp_listener with None -> [] | Some fd -> [ fd ])
-  in
+  let listeners = listen_socket t.cfg.socket_path :: tcp_listener in
   let workers = List.init t.cfg.jobs (fun _ -> Domain.spawn (fun () -> worker_main t)) in
   (* Background jobs waiting out a backoff delay (or memory pressure)
      have no event that marks them eligible again; a ticker re-offers
-     the lane to idle workers a few times a second. Exits on [stop]. *)
+     the queue to idle workers a few times a second. Exits on [stop]. *)
   let ticker =
     Thread.create
       (fun () ->
         while not (stopping t) do
           Thread.delay 0.05;
-          locked t (fun () -> if t.bgq <> [] then Condition.broadcast t.nonempty)
+          locked t (fun () -> if t.queue <> [] then Condition.broadcast t.nonempty)
         done)
       ()
   in
   let accept_one lfd =
-    let is_tcp = Some lfd = tcp_listener in
     match Unix.accept ~cloexec:true lfd with
     | cfd, _ ->
         (* The network budgets ride the socket where the kernel can
@@ -1178,9 +1001,8 @@ let run_serving t =
              Unix.setsockopt_float cfd Unix.SO_SNDTIMEO
                (Option.get t.cfg.io_deadline_s)
            with Unix.Unix_error _ | Invalid_argument _ -> ());
-        (if is_tcp then
-           try Unix.setsockopt cfd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ());
+        (* fails harmlessly (EOPNOTSUPP) on the Unix socket *)
+        (try Unix.setsockopt cfd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
         let conn =
           {
             fd = cfd;
@@ -1189,9 +1011,7 @@ let run_serving t =
             pending = 0;
             eof = false;
             closed = false;
-            proto =
-              (if is_tcp then P_sniff (Buffer.create 32)
-               else P_line (Buffer.create 256));
+            dec = Frame.decoder ~max_payload:t.cfg.max_frame_bytes ();
             greeted = false;
             last_rx = uptime_s t;
             in_started = None;
@@ -1245,12 +1065,12 @@ let run_serving t =
   (* Drain: no new connections (the listeners are closed first, so
      connect() starts failing instead of queueing), reader threads shed
      anything they read from now on (stopping is set), workers finish
-     every admitted request. *)
+     every admitted live request. *)
   List.iter Unix.close listeners;
   (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ -> ());
   Mutex.lock t.lock;
   Condition.broadcast t.nonempty;
-  while not (Queue.is_empty t.queue && t.inflight = 0) do
+  while live_backlog_locked t || t.inflight > 0 do
     Condition.wait t.drained t.lock
   done;
   Condition.broadcast t.nonempty;
@@ -1323,13 +1143,10 @@ module Client = struct
 
   type connection = {
     cfd : Unix.file_descr;
-    racc : Buffer.t; (* line mode: read-ahead *)
-    fdec : Frame.decoder option; (* Some = NF1 framed (TCP) *)
+    dec : Frame.decoder;
     mutable next_fid : int; (* pipelining tag allocator *)
     recv_timeout_s : float option;
   }
-
-  let framed conn = conn.fdec <> None
 
   let close conn = try Unix.close conn.cfd with Unix.Unix_error _ -> ()
 
@@ -1361,132 +1178,76 @@ module Client = struct
      surfaced as such (the caller decides retryability — a CRC tear is
      transient, a bad magic means the peer is not speaking NF1). *)
   let recv_frame conn =
-    match conn.fdec with
-    | None -> invalid_arg "Client.recv_frame: line-mode connection"
-    | Some dec ->
-        let buf = Bytes.create 8192 in
-        let rec go () =
-          match Frame.next dec with
-          | Error e -> Error e
-          | Ok (Some f) -> Ok (Some f)
-          | Ok None -> (
-              match read_chunk conn buf with
-              | 0 -> Ok None
-              | n ->
-                  Frame.feed_bytes dec buf ~off:0 ~len:n;
-                  go ())
-        in
-        go ()
+    let buf = Bytes.create 8192 in
+    let rec go () =
+      match Frame.next conn.dec with
+      | Error e -> Error e
+      | Ok (Some f) -> Ok (Some f)
+      | Ok None -> (
+          match read_chunk conn buf with
+          | 0 -> Ok None
+          | n ->
+              Frame.feed_bytes conn.dec buf ~off:0 ~len:n;
+              go ())
+    in
+    go ()
 
   let send_frame conn ~fid payload = write_all conn.cfd (Frame.encode ~id:fid payload)
 
+  let sockaddr = function
+    | Uds path -> Unix.ADDR_UNIX path
+    | Tcp (host, port) ->
+        let ip =
+          try Unix.inet_addr_of_string host
+          with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
+        in
+        Unix.ADDR_INET (ip, port)
+
+  (* Both sockets speak NF1: connect, then the version handshake —
+     hello out, hello-ack back — before any request rides the
+     connection. *)
   let connect_addr ?recv_timeout_s addr =
-    match addr with
-    | Uds path -> (
-        let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-        match Unix.connect fd (ADDR_UNIX path) with
-        | () ->
-            {
-              cfd = fd;
-              racc = Buffer.create 256;
-              fdec = None;
-              next_fid = 1;
-              recv_timeout_s;
-            }
-        | exception e ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            raise e)
-    | Tcp (host, port) -> (
-        let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-        match
-          let ip =
-            try Unix.inet_addr_of_string host
-            with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          in
-          Unix.connect fd (ADDR_INET (ip, port));
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ())
-        with
-        | () -> (
-            let conn =
-              {
-                cfd = fd;
-                racc = Buffer.create 256;
-                fdec = Some (Frame.decoder ());
-                next_fid = 1;
-                recv_timeout_s;
-              }
-            in
-            (* version handshake: hello out, hello-ack back, before any
-               request rides the connection *)
-            send_frame conn ~fid:0 (Json.to_string (Frame.hello ()));
-            match recv_frame conn with
-            | Ok (Some f) -> (
-                match Json.parse f.Frame.payload with
-                | Ok j -> (
-                    match Frame.check_hello j with
-                    | Ok _ -> conn
-                    | Error msg ->
-                        close conn;
-                        raise (Handshake msg))
-                | Error _ ->
-                    close conn;
-                    raise (Handshake "server hello is not JSON"))
-            | Ok None ->
-                close conn;
-                raise
-                  (Unix.Unix_error (Unix.ECONNRESET, "connect", "hello"))
-            | Error e ->
-                (* the peer answered the hello with a line (or worse):
-                   it does not speak NF1 at this port *)
-                close conn;
-                raise (Handshake (Format.asprintf "%a" Frame.pp_error e)))
-        | exception e ->
-            (try Unix.close fd with Unix.Unix_error _ -> ());
-            raise e)
-
-  let connect path = connect_addr (Uds path)
-
-  let with_conn path f =
-    let conn = connect path in
-    Fun.protect ~finally:(fun () -> close conn) (fun () -> f conn)
+    let sa = sockaddr addr in
+    let fd = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr sa) SOCK_STREAM 0 in
+    let conn = { cfd = fd; dec = Frame.decoder (); next_fid = 1; recv_timeout_s } in
+    let fail e =
+      close conn;
+      raise e
+    in
+    match
+      Unix.connect fd sa;
+      (* fails harmlessly (EOPNOTSUPP) on a Unix socket *)
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+      send_frame conn ~fid:0 (Json.to_string (Frame.hello ()));
+      recv_frame conn
+    with
+    | exception e -> fail e
+    | Ok (Some f) -> (
+        match Json.parse f.Frame.payload with
+        | Ok j -> (
+            match Frame.check_hello j with
+            | Ok _ -> conn
+            | Error msg -> fail (Handshake msg))
+        | Error _ -> fail (Handshake "server hello is not JSON"))
+    | Ok None -> fail (Unix.Unix_error (Unix.ECONNRESET, "connect", "hello"))
+    | Error e ->
+        (* the peer answered the hello with a line (or worse): it does
+           not speak NF1 *)
+        fail (Handshake (Format.asprintf "%a" Frame.pp_error e))
 
   let with_addr ?recv_timeout_s addr f =
     let conn = connect_addr ?recv_timeout_s addr in
     Fun.protect ~finally:(fun () -> close conn) (fun () -> f conn)
 
-  let send_line conn line = write_all conn.cfd (line ^ "\n")
+  let with_conn address f = with_addr (parse_address address) f
 
-  (* Read one newline-terminated line, buffering any overshoot for the
-     next call. [None] on EOF before a complete line. *)
-  let recv_line conn =
-    let rec take_line () =
-      let s = Buffer.contents conn.racc in
-      match String.index_opt s '\n' with
-      | Some i ->
-          Buffer.clear conn.racc;
-          Buffer.add_string conn.racc
-            (String.sub s (i + 1) (String.length s - i - 1));
-          Some (String.sub s 0 i)
-      | None -> (
-          let buf = Bytes.create 4096 in
-          match read_chunk conn buf with
-          | 0 -> None
-          | n ->
-              Buffer.add_subbytes conn.racc buf 0 n;
-              take_line ())
-    in
-    take_line ()
-
-  (* --- pipelining (framed connections) --------------------------------
+  (* --- pipelining --------------------------------------------------------
 
      Many requests in flight on one socket: [pipeline_send] tags each
      with a fresh frame id, [pipeline_recv] returns responses in the
      order the server finishes them. *)
 
   let pipeline_send conn (req : Json.t) =
-    if not (framed conn) then
-      invalid_arg "Client.pipeline_send: line-mode connection";
     let fid = conn.next_fid in
     conn.next_fid <- fid + 1;
     send_frame conn ~fid (Json.to_string req);
@@ -1506,29 +1267,21 @@ module Client = struct
      racing a draining/restarting daemon — retryable) vs. a response
      that arrived but does not parse (a protocol bug — fatal) vs. a
      frame-level decode error (a torn response — retryable for CRC,
-     fatal for a protocol mismatch). Unix errors propagate. *)
+     fatal for a protocol mismatch). A frame with id 0 is the server's
+     terminal error for the connection (its decoder failed, or a frame
+     stalled past the I/O deadline): it answers the exchange in flight,
+     carrying its own "retryable" verdict. Unix errors propagate. *)
   let exchange conn (req : Json.t) =
-    if framed conn then begin
-      let fid = pipeline_send conn req in
-      let rec await () =
-        match pipeline_recv conn with
-        | Ok (Some (id, resp)) when id = fid -> Ok resp
-        | Ok (Some _) -> await () (* stale tag from an abandoned request *)
-        | Ok None -> Error `Closed
-        | Error (`Garbled msg) -> Error (`Garbled msg)
-        | Error (`Frame e) -> Error (`Frame e)
-      in
-      await ()
-    end
-    else begin
-      send_line conn (Json.to_string req);
-      match recv_line conn with
-      | Some line -> (
-          match Json.parse line with
-          | Ok resp -> Ok resp
-          | Error msg -> Error (`Garbled msg))
-      | None -> Error `Closed
-    end
+    let fid = pipeline_send conn req in
+    let rec await () =
+      match pipeline_recv conn with
+      | Ok (Some (id, resp)) when id = fid || id = 0 -> Ok resp
+      | Ok (Some _) -> await () (* stale tag from an abandoned request *)
+      | Ok None -> Error `Closed
+      | Error (`Garbled msg) -> Error (`Garbled msg)
+      | Error (`Frame e) -> Error (`Frame e)
+    in
+    await ()
 
   let request conn (req : Json.t) : (Json.t, string) result =
     match exchange conn req with
@@ -1540,10 +1293,10 @@ module Client = struct
 
   (* One-shot request with exponential backoff + deterministic jitter.
      Retryable: connection refusals (daemon restarting), responses the
-     server marks retryable (overload shedding, drain), a connection
-     torn down mid-exchange (EPIPE/ECONNRESET or EOF before a
-     response), a receive that outwaits [recv_timeout_s], and a
-     CRC-torn response frame — the expected outcomes of racing a
+     server marks retryable (overload shedding, drain, a torn request
+     frame), a connection torn down mid-exchange (EPIPE/ECONNRESET or
+     EOF before a response), a receive that outwaits [recv_timeout_s],
+     and a CRC-torn response frame — the expected outcomes of racing a
      draining/restarting daemon or a hostile network, and safe to
      replay because requests are idempotent: compiles are memoized,
      status/burn are read-only. Fatal: a response that parses as

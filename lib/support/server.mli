@@ -1,14 +1,15 @@
 (** Compile-as-a-service transport, robust by construction: a
-    Unix-domain socket speaking newline-delimited JSON, plus an
-    optional TCP listener speaking the {!Frame} (NF1) framed protocol
-    with per-connection pipelining — many in-flight requests tagged by
-    frame id on one socket, responses written in completion order.
+    Unix-domain socket plus an optional TCP listener, both speaking the
+    {!Frame} (NF1) framed protocol with per-connection pipelining —
+    many in-flight requests tagged by frame id on one socket, responses
+    written in completion order.
 
     The server owns everything about {e serving}: the sockets, one
-    reader thread per connection, a bounded request queue (admission
-    control), [jobs] worker domains with crash supervision, per-request
-    wall-clock deadlines layered on {!Guard} fuel, graceful drain, and
-    status counters. What a request {e means} is the {!handler}'s
+    reader thread per connection, a bounded work queue (admission
+    control) shared by live requests and background jobs, [jobs]
+    worker domains with crash supervision, per-request wall-clock
+    deadlines layered on {!Guard} fuel, graceful drain, and status
+    counters. What a request {e means} is the {!handler}'s
     business (the compile handler is [Nascent_harness.Service]); the
     server understands only the envelope:
 
@@ -23,21 +24,23 @@
     "retryable": true}] (draining), [{"code": "deadline"}] (wall budget
     or fuel exhausted — the worker is freed either way),
     [{"code": "internal"}] (handler exception; the worker survives),
-    [{"code": "bad-request"}] (unparseable line),
-    [{"code": "proto-mismatch"}] (a legacy or version-mismatched client
-    at the TCP port — one clear line, then close, counted as
-    [proto_rejects]), [{"code": "frame-error"}] (torn/oversized frame;
-    terminal for its connection only), [{"code": "io-timeout"}] (a
-    frame or line left incomplete past [io_deadline_s] — the
-    slow-loris bound).
+    [{"code": "bad-request"}] (unparseable frame payload),
+    [{"code": "proto-mismatch"}] (a peer whose first bytes are not an
+    NF1 hello — newline JSON, garbage, another protocol version: one
+    clear line, then close, counted as [proto_rejects]),
+    [{"code": "frame-error"}] (torn/garbage frame, retryable;
+    oversized frame, not retryable — terminal for its connection only,
+    sent as a frame with id 0), [{"code": "io-timeout",
+    "retryable": true}] (a frame left incomplete past [io_deadline_s] —
+    the slow-loris bound; also frame id 0).
 
     Network failure domain: a slow-loris peer cannot wedge a reader or
     leak a connection record ([io_deadline_s], counted [io_timeouts]);
     a connected-but-silent client with no response owed is reaped
     after [idle_timeout_s] (counted [idle_closed]); a peer that stops
     draining responses trips the kernel send timeout instead of
-    parking a worker; frame decode errors close only their own
-    connection (counted [frame_errors]). *)
+    parking a worker; frame decode errors after the hello close only
+    their own connection (counted [frame_errors]). *)
 
 type handler = {
   handle : Json.t -> Json.t;
@@ -55,9 +58,11 @@ type config = {
   tcp : (string * int) option;
       (** additional TCP listener ([host, port]; empty or ["*"] host
           binds every interface, port [0] picks an ephemeral port —
-          see {!tcp_port}), speaking the NF1 framed protocol *)
+          see {!tcp_port}) *)
   jobs : int;  (** worker domains (clamped to >= 1) *)
-  queue_depth : int;  (** admission bound on queued requests *)
+  queue_depth : int;
+      (** admission bound on queued requests, counted per lane: live
+          requests, and background jobs queued or running *)
   default_deadline_s : float option;  (** default per-request budget *)
   request_fuel : int option;  (** per-request {!Guard} fuel budget *)
   journal : Journal.t option;
@@ -74,10 +79,10 @@ type config = {
           response owed) after this long without a byte; [None]
           disables the reaper *)
   io_deadline_s : float option;
-      (** slow-loris bound: a frame/line that stays incomplete this
-          long closes its connection; also the kernel send-timeout for
+      (** slow-loris bound: a frame that stays incomplete this long
+          closes its connection; also the kernel send-timeout for
           response writes. [None] disables both. *)
-  max_frame_bytes : int;  (** frame payload / request line cap *)
+  max_frame_bytes : int;  (** frame payload cap *)
 }
 
 val default_config : socket_path:string -> config
@@ -116,10 +121,13 @@ val run : t -> unit
 val submit_background : t -> Json.t -> bool
 (** Submit handler work to the {e background lane}: no client, no
     response — the compile service's tier-upgrade jobs. Background
-    jobs run only when the live queue is empty (idle workers), each
-    run under a fresh default deadline/fuel budget, so they can never
-    starve admission or live traffic. The handler sees the request
-    with two envelope additions: ["lane": "bg"] and ["bg_attempt": n]
+    and live jobs share one queue and one admission path; a background
+    job runs only when no live request is queued, on at most
+    [max 1 (jobs - 1)] workers at once (one worker stays on live
+    traffic), never under memory pressure, each run under a fresh
+    default deadline/fuel budget — so it can never starve admission
+    or live traffic. The handler sees the request with two envelope
+    additions: ["lane": "bg"] and ["bg_attempt": n]
     (0-based run counter).
 
     Scheduling protocol: a handler response carrying
@@ -166,43 +174,34 @@ module Client : sig
 
   type connection
 
-  val connect : string -> connection
-  (** Connect to a Unix socket path (line protocol). Raises
-      [Unix.Unix_error] as [Unix.connect] does. *)
-
   val connect_addr : ?recv_timeout_s:float -> address -> connection
-  (** Connect to either transport. A TCP connection performs the NF1
-      hello handshake before returning (raises {!Handshake} on a
-      protocol mismatch). [recv_timeout_s] bounds every subsequent
-      wait for response bytes: expiry raises
+  (** Connect to either socket and perform the NF1 hello handshake
+      before returning (raises {!Handshake} on a protocol mismatch,
+      [Unix.Unix_error] as [Unix.connect] does). [recv_timeout_s]
+      bounds the handshake and every later wait for response bytes:
+      expiry raises
       [Unix_error (ETIMEDOUT, _, _)] instead of hanging forever on a
       stalled peer. *)
 
   val close : connection -> unit
 
   val with_conn : string -> (connection -> 'a) -> 'a
+  (** {!with_addr} on a string address ({!parse_address}). *)
 
   val with_addr : ?recv_timeout_s:float -> address -> (connection -> 'a) -> 'a
 
-  val framed : connection -> bool
-
-  val send_line : connection -> string -> unit
-
-  val recv_line : connection -> string option
-  (** One newline-terminated line ([None] on EOF); overshoot is
-      buffered for the next call. *)
-
   val pipeline_send : connection -> Json.t -> int
-  (** Framed connections only: send a request tagged with a fresh
-      frame id (returned) without waiting — many may be in flight. *)
+  (** Send a request tagged with a fresh frame id (returned) without
+      waiting — many may be in flight. *)
 
   val pipeline_recv :
     connection ->
     ( (int * Json.t) option,
       [ `Garbled of string | `Frame of Frame.error ] )
     result
-  (** The next response off a framed connection, in server completion
-      order (match it to a {!pipeline_send} tag). [Ok None] on EOF. *)
+  (** The next response, in server completion order (match it to a
+      {!pipeline_send} tag; id [0] is the server's terminal error for
+      the connection). [Ok None] on EOF. *)
 
   val exchange :
     connection ->
@@ -213,8 +212,9 @@ module Client : sig
   (** One request/response exchange with the failure modes kept
       distinct: [`Closed] (EOF before a complete response — retryable),
       [`Garbled] (a response arrived but does not parse — a protocol
-      bug), [`Frame] (a framed response failed to decode). Unix errors
-      propagate. *)
+      bug), [`Frame] (a response frame failed to decode). A frame with
+      id [0] — the server's terminal error for the connection — is the
+      answer. Unix errors propagate. *)
 
   val request : connection -> Json.t -> (Json.t, string) result
   (** {!exchange} with errors rendered as strings. *)
@@ -232,7 +232,8 @@ module Client : sig
       parsed with {!parse_address}, so both ["/path/sock"] and
       ["host:port"] work — with {!Retry} backoff (deterministic jitter
       from [seed]). Retryable: connection refusals, responses marked
-      [retryable], a connection torn down mid-exchange
+      [retryable] (a torn request frame among them), a connection torn
+      down mid-exchange
       (EPIPE/ECONNRESET/EOF before a response), a receive that
       outwaits [recv_timeout_s], and a CRC-torn response frame —
       racing a draining or restarting daemon (or a hostile network) is

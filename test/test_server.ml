@@ -11,6 +11,7 @@
 module Server = Nascent_support.Server
 module Client = Server.Client
 module Json = Nascent_support.Json
+module Frame = Nascent_support.Frame
 module Retry = Nascent_support.Retry
 module Guard = Nascent_support.Guard
 module Service = Nascent_harness.Service
@@ -119,6 +120,53 @@ let compile_req ?(id = Json.Int 0) ?(scheme = "LLS") ?fault ?deadline_ms
 
 let status_req = Json.Obj [ ("id", Json.Str "st"); ("op", Json.Str "status") ]
 
+(* The next pipelined response, whatever its tag. *)
+let recv_exn conn =
+  match Client.pipeline_recv conn with
+  | Ok (Some (_, resp)) -> resp
+  | Ok None -> Alcotest.fail "connection closed before a response arrived"
+  | Error _ -> Alcotest.fail "undecodable response"
+
+let parse_exn s =
+  match Json.parse s with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "unparseable JSON %S: %s" s e
+
+(* --- raw NF1 plumbing (a hand-rolled client, for hostile sends) -------- *)
+
+let raw_connect addr =
+  let sa =
+    match addr with
+    | Client.Uds p -> Unix.ADDR_UNIX p
+    | Client.Tcp (_, port) -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+  in
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd sa
+   with e ->
+     Unix.close fd;
+     raise e);
+  fd
+
+let send_raw fd s =
+  Frame.write_all ~write:(fun b off len -> Unix.write fd b off len) s
+
+let read_one_frame fd dec =
+  Frame.read_frame ~read:(fun b off len -> Unix.read fd b off len) dec
+
+(* perform the hello handshake on a raw socket; return the decoder
+   (which may already hold buffered bytes past the ack) *)
+let raw_handshake fd =
+  send_raw fd (Frame.encode ~id:0 (Json.to_string (Frame.hello ())));
+  let dec = Frame.decoder () in
+  (match read_one_frame fd dec with
+  | Ok (Some f) -> (
+      match Frame.check_hello (parse_exn f.Frame.payload) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "bad hello ack: %s" e)
+  | Ok None -> Alcotest.fail "EOF during handshake"
+  | Error e -> Alcotest.failf "handshake decode error: %a" Frame.pp_error e);
+  dec
+
 (* --- basic request/response --------------------------------------------- *)
 
 let test_compile_ok () =
@@ -195,16 +243,18 @@ let test_status_shape () =
 
 let test_bad_inputs () =
   with_service @@ fun path _ ->
+  (* unparseable frame payload *)
+  (let fd = raw_connect (Client.Uds path) in
+   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+   let dec = raw_handshake fd in
+   send_raw fd (Frame.encode ~id:1 "this is not json");
+   match read_one_frame fd dec with
+   | Ok (Some f) ->
+       Alcotest.(check int) "answer tagged with the request frame" 1 f.Frame.id;
+       Alcotest.(check string) "bad-request" "bad-request"
+         (sfield (parse_exn f.Frame.payload) "code")
+   | _ -> Alcotest.fail "no response to a bad payload");
   Client.with_conn path @@ fun conn ->
-  (* unparseable line *)
-  Client.send_line conn "this is not json";
-  (match Client.recv_line conn with
-  | None -> Alcotest.fail "no response to bad line"
-  | Some line -> (
-      match Json.parse line with
-      | Error e -> Alcotest.failf "unparseable error response: %s" e
-      | Ok resp ->
-          Alcotest.(check string) "bad-request" "bad-request" (sfield resp "code")));
   (* unknown op *)
   let resp = request_exn conn (Json.Obj [ ("op", Json.Str "frobnicate") ]) in
   Alcotest.(check string) "bad-op" "bad-op" (sfield resp "code");
@@ -221,7 +271,7 @@ let test_bad_inputs () =
   Alcotest.(check string) "bad scheme rejected" "bad-request" (sfield resp "code");
   (* the daemon shrugged all of that off *)
   let st = request_exn conn status_req in
-  Alcotest.(check int) "bad line counted" 1 (ifield st "bad_requests");
+  Alcotest.(check int) "bad payload counted" 1 (ifield st "bad_requests");
   Alcotest.(check int) "no worker restarts" 0 (ifield st "worker_restarts")
 
 (* --- worker-crash isolation --------------------------------------------- *)
@@ -305,17 +355,18 @@ let test_deadline_counts_queue_wait () =
   Fun.protect ~finally:release @@ fun () ->
   Client.with_conn path @@ fun conn ->
   (* occupy the only worker... *)
-  Client.send_line conn
-    (Json.to_string (Json.Obj [ ("id", Json.Int 1); ("block", Json.Bool true) ]));
+  ignore
+    (Client.pipeline_send conn
+       (Json.Obj [ ("id", Json.Int 1); ("block", Json.Bool true) ]));
   (* ...queue a request with a deadline shorter than the block... *)
-  Client.send_line conn
-    (Json.to_string
+  ignore
+    (Client.pipeline_send conn
        (Json.Obj [ ("id", Json.Int 2); ("deadline_ms", Json.Int 100) ]));
   Unix.sleepf 0.3;
   (* ...and only then release the worker. *)
   release ();
-  let r1 = Option.get (Client.recv_line conn) |> Json.parse |> Result.get_ok in
-  let r2 = Option.get (Client.recv_line conn) |> Json.parse |> Result.get_ok in
+  let r1 = recv_exn conn in
+  let r2 = recv_exn conn in
   let find id =
     if ifield r1 "id" = id then r1
     else if ifield r2 "id" = id then r2
@@ -358,7 +409,8 @@ let test_overload_sheds_with_retryable () =
   Client.with_conn path @@ fun conn ->
   Client.with_conn path @@ fun stconn ->
   (* one in flight (wait until the worker picked it up)... *)
-  Client.send_line conn (Json.to_string (Json.Obj [ ("id", Json.Int 1) ]));
+  let send id = ignore (Client.pipeline_send conn (Json.Obj [ ("id", Json.Int id) ])) in
+  send 1;
   let rec wait_inflight n =
     if n = 0 then Alcotest.fail "request never went in flight";
     let st = request_exn stconn status_req in
@@ -369,8 +421,8 @@ let test_overload_sheds_with_retryable () =
   in
   wait_inflight 500;
   (* ...two filling the queue to capacity... *)
-  Client.send_line conn (Json.to_string (Json.Obj [ ("id", Json.Int 2) ]));
-  Client.send_line conn (Json.to_string (Json.Obj [ ("id", Json.Int 3) ]));
+  send 2;
+  send 3;
   let rec wait_queued n =
     if n = 0 then Alcotest.fail "queue never filled";
     let st = request_exn stconn status_req in
@@ -381,8 +433,8 @@ let test_overload_sheds_with_retryable () =
   in
   wait_queued 500;
   (* ...and one over: shed immediately, retryable. *)
-  Client.send_line conn (Json.to_string (Json.Obj [ ("id", Json.Int 4) ]));
-  let shed = Option.get (Client.recv_line conn) |> Json.parse |> Result.get_ok in
+  send 4;
+  let shed = recv_exn conn in
   Alcotest.(check int) "the overflow request was the one shed" 4 (ifield shed "id");
   Alcotest.(check string) "overloaded" "overloaded" (sfield shed "code");
   Alcotest.(check bool) "marked retryable" true (bfield shed "retryable");
@@ -390,8 +442,7 @@ let test_overload_sheds_with_retryable () =
      drain the admitted three *)
   release ();
   let answered =
-    List.init 3 (fun _ ->
-        ifield (Option.get (Client.recv_line conn) |> Json.parse |> Result.get_ok) "id")
+    List.init 3 (fun _ -> ifield (recv_exn conn) "id")
   in
   Alcotest.(check (list int)) "admitted requests all served" [ 1; 2; 3 ]
     (List.sort compare answered);
@@ -829,10 +880,10 @@ let test_drain_loses_nothing () =
   in
   with_server ~tune:(fun c -> { c with Server.jobs = 2 }) handler @@ fun path srv ->
   let n = 10 in
-  let conn = Client.connect path in
+  let conn = Client.connect_addr (Client.Uds path) in
   Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
   for i = 0 to n - 1 do
-    Client.send_line conn (Json.to_string (Json.Obj [ ("id", Json.Int i) ]))
+    ignore (Client.pipeline_send conn (Json.Obj [ ("id", Json.Int i) ]))
   done;
   (* wait until every request is admitted (queued, running or done),
      then pull the plug mid-flight *)
@@ -849,26 +900,21 @@ let test_drain_loses_nothing () =
       wait 1000);
   Server.stop srv;
   (* a request sent AFTER stop is shed, not silently dropped *)
-  (try
-     Client.send_line conn
-       (Json.to_string (Json.Obj [ ("id", Json.Str "late") ]))
+  (try ignore (Client.pipeline_send conn (Json.Obj [ ("id", Json.Str "late") ]))
    with Unix.Unix_error _ -> () (* connection may already be shut down *));
   let rec collect acc =
     if List.length acc >= n then acc
     else
-      match Client.recv_line conn with
-      | None -> acc
-      | Some line -> (
-          match Json.parse line with
-          | Error e -> Alcotest.failf "bad drain response: %s" e
-          | Ok resp ->
-              if Json.member "echo" resp <> None then
-                collect (ifield resp "id" :: acc)
-              else (
-                (* the late request's shed notice *)
-                Alcotest.(check string) "late request shed" "shutting-down"
-                  (sfield resp "code");
-                collect acc))
+      match Client.pipeline_recv conn with
+      | Ok None -> acc
+      | Error _ -> Alcotest.fail "undecodable drain response"
+      | Ok (Some (_, resp)) ->
+          if Json.member "echo" resp <> None then collect (ifield resp "id" :: acc)
+          else (
+            (* the late request's shed notice *)
+            Alcotest.(check string) "late request shed" "shutting-down"
+              (sfield resp "code");
+            collect acc)
   in
   let served = collect [] in
   Alcotest.(check (list int)) "zero in-flight loss across drain"
@@ -960,6 +1006,76 @@ let test_mem_abort_is_retryable () =
   Alcotest.(check int) "abort counted" 1 (ifield st "mem_aborts");
   Alcotest.(check int) "nothing shed at admission" 0 (ifield st "mem_shed")
 
+(* --- background lane scheduling ------------------------------------------ *)
+
+(* One worker always stays on live traffic: with jobs = 2 at most one
+   background job runs, so a live request submitted behind a
+   background backlog is answered while that job is still blocked. A
+   submission under memory pressure is refused (the caller keeps its
+   floor and resubmits later), and queued background work is deferred
+   until the pressure clears. *)
+let test_bg_lane_reserves_live_worker () =
+  Fun.protect ~finally:(fun () -> Guard.set_mem_budget ~bytes:None ())
+  @@ fun () ->
+  let gate = Mutex.create () in
+  let cond = Condition.create () in
+  let open_gate = ref false in
+  let release () =
+    Mutex.lock gate;
+    open_gate := true;
+    Condition.broadcast cond;
+    Mutex.unlock gate
+  in
+  let handler =
+    {
+      Server.handle =
+        (fun req ->
+          (if Json.str_member "lane" req = Some "bg" then begin
+             Mutex.lock gate;
+             while not !open_gate do
+               Condition.wait cond gate
+             done;
+             Mutex.unlock gate
+           end);
+          Json.Obj [ ("status", Json.Str "ok") ]);
+      status_extra = (fun () -> []);
+    }
+  in
+  with_server ~tune:(fun c -> { c with Server.jobs = 2 }) handler @@ fun path srv ->
+  Fun.protect ~finally:release @@ fun () ->
+  Client.with_conn path @@ fun conn ->
+  let status () = request_exn conn status_req in
+  let wait_status what pred =
+    poll_until what (fun () -> pred (status ()))
+  in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "background job admitted" true
+        (Server.submit_background srv (Json.Obj [ ("k", Json.Int k) ])))
+    [ 1; 2; 3 ];
+  wait_status "one background job in flight" (fun st ->
+      ifield st "bg_inflight" = 1 && ifield st "bg_pending" = 2);
+  Unix.sleepf 0.1;
+  Alcotest.(check int) "the second worker does not take background work" 1
+    (ifield (status ()) "bg_inflight");
+  let live = request_exn conn (Json.Obj [ ("id", Json.Int 7); ("op", Json.Str "x") ]) in
+  Alcotest.(check string) "live request served" "ok" (sfield live "status");
+  Alcotest.(check bool) "answered before the background job finished" false
+    (Mutex.protect gate (fun () -> !open_gate));
+  Guard.set_mem_budget ~bytes:(Some 1) ();
+  Alcotest.(check bool) "submission under memory pressure refused" false
+    (Server.submit_background srv (Json.Obj [ ("k", Json.Int 4) ]));
+  release ();
+  wait_status "the running background job finished" (fun st ->
+      ifield st "bg_done" = 1);
+  Unix.sleepf 0.2;
+  let st = status () in
+  Alcotest.(check int) "queued background work deferred" 2 (ifield st "bg_pending");
+  Alcotest.(check int) "nothing started under pressure" 0 (ifield st "bg_inflight");
+  Guard.set_mem_budget ~bytes:None ();
+  wait_status "deferred background work ran" (fun st ->
+      ifield st "bg_done" = 3 && ifield st "bg_pending" = 0)
+
 let suite =
   [
     Util.tc "compile request round-trips" test_compile_ok;
@@ -983,4 +1099,5 @@ let suite =
     Util.tc "drain loses nothing" test_drain_loses_nothing;
     Util.tc "mem pressure sheds admission" test_mem_pressure_sheds_admission;
     Util.tc "mem abort is retryable" test_mem_abort_is_retryable;
+    Util.tc "bg lane keeps one worker live" test_bg_lane_reserves_live_worker;
   ]

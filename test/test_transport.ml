@@ -1,10 +1,10 @@
-(* The framed TCP transport end to end: the NF1 hello handshake,
-   per-connection pipelining with out-of-order completion, protocol
-   rejection of legacy/mismatched clients, torn-frame containment, the
-   idle reaper and slow-loris I/O deadline on both transports, client
-   receive timeouts, and — the capstone — every Netfault class driven
-   through a real chaos proxy in front of a real server, with
-   request_retry recovering each time. *)
+(* The NF1 transport end to end, on the Unix socket and on TCP: the
+   hello handshake, per-connection pipelining with out-of-order
+   completion, rejection of peers that do not speak NF1, torn-frame
+   containment, the frame cap, the idle reaper and slow-loris I/O
+   deadline, client receive timeouts, and — the capstone — every
+   Netfault class driven through a real chaos proxy in front of a real
+   server, with request_retry recovering each time. *)
 
 module Server = Nascent_support.Server
 module Client = Server.Client
@@ -15,13 +15,14 @@ module Retry = Nascent_support.Retry
 
 let sfield = Test_server.sfield
 let ifield = Test_server.ifield
+let bfield = Test_server.bfield
 let request_exn = Test_server.request_exn
+let parse_exn = Test_server.parse_exn
+let raw_connect = Test_server.raw_connect
+let send_raw = Test_server.send_raw
+let read_one_frame = Test_server.read_one_frame
+let raw_handshake = Test_server.raw_handshake
 let status_req = Json.Obj [ ("op", Json.Str "status") ]
-
-let parse_exn s =
-  match Json.parse s with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "unparseable JSON %S: %s" s e
 
 (* every test here boots its server with a TCP listener on an
    ephemeral port alongside the Unix socket *)
@@ -34,6 +35,9 @@ let with_tcp ?(tune = fun c -> c) handler f =
       | Some port -> f path srv port
       | None -> Alcotest.fail "TCP listener reported no bound port")
 
+(* both sockets of a [with_tcp] server *)
+let both_addrs path port = [ Client.Uds path; Client.Tcp ("127.0.0.1", port) ]
+
 let ok_handler =
   {
     Server.handle =
@@ -45,35 +49,7 @@ let ok_handler =
     status_extra = (fun () -> []);
   }
 
-(* --- raw NF1 plumbing (a hand-rolled client, for hostile sends) -------- *)
-
-let tcp_connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-   with e ->
-     Unix.close fd;
-     raise e);
-  fd
-
-let send_raw fd s =
-  Frame.write_all ~write:(fun b off len -> Unix.write fd b off len) s
-
-let read_one_frame fd dec =
-  Frame.read_frame ~read:(fun b off len -> Unix.read fd b off len) dec
-
-(* perform the hello handshake on a raw socket; return the decoder
-   (which may already hold buffered bytes past the ack) *)
-let raw_handshake fd =
-  send_raw fd (Frame.encode ~id:0 (Json.to_string (Frame.hello ())));
-  let dec = Frame.decoder () in
-  (match read_one_frame fd dec with
-  | Ok (Some f) -> (
-      match Frame.check_hello (parse_exn f.Frame.payload) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "bad hello ack: %s" e)
-  | Ok None -> Alcotest.fail "EOF during handshake"
-  | Error e -> Alcotest.failf "handshake decode error: %a" Frame.pp_error e);
-  dec
+let status_of path = Client.with_conn path (fun c -> request_exn c status_req)
 
 let read_all_raw fd =
   let buf = Bytes.create 4096 in
@@ -96,16 +72,13 @@ let test_tcp_hello_and_request () =
       Fun.protect
         ~finally:(fun () -> Client.close conn)
         (fun () ->
-          Alcotest.(check bool) "connection is framed" true (Client.framed conn);
           let resp =
             request_exn conn (Json.Obj [ ("id", Json.Int 7); ("op", Json.Str "status") ])
           in
           Alcotest.(check string) "status over TCP" "ok" (sfield resp "status"));
-      (* the UDS side still speaks lines on the same server *)
-      Client.with_conn path (fun c ->
-          let resp = request_exn c status_req in
-          Alcotest.(check int) "no proto rejects from a correct client" 0
-            (ifield resp "proto_rejects")))
+      (* the Unix socket speaks the same protocol on the same server *)
+      Alcotest.(check int) "no proto rejects from a correct client" 0
+        (ifield (status_of path) "proto_rejects"))
 
 let test_pipelining_out_of_order () =
   let slow_fast =
@@ -144,45 +117,55 @@ let test_pipelining_out_of_order () =
 
 (* --- protocol rejection ------------------------------------------------ *)
 
-let test_legacy_client_rejected () =
+(* Whatever the first bytes on either socket, a peer that does not open
+   with an NF1 hello gets one proto-mismatch line and a close, counted
+   once as a proto reject and never as a frame error. *)
+let test_non_nf1_rejected () =
+  let future_version =
+    let b = Bytes.of_string (Frame.encode ~id:0 (Json.to_string (Frame.hello ()))) in
+    Bytes.set b 3 '\x02';
+    Bytes.to_string b
+  in
+  let openers =
+    [
+      ("newline JSON", Json.to_string status_req ^ "\n");
+      ("wrong version", future_version);
+      ("garbage", "GET / HTTP/1.0\r\n\r\n");
+    ]
+  in
   with_tcp ok_handler (fun path _ port ->
-      let fd = tcp_connect port in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          send_raw fd (Json.to_string status_req ^ "\n");
-          let got = read_all_raw fd in
-          (* one clear line, then close *)
-          let resp = parse_exn (String.trim got) in
-          Alcotest.(check string) "proto-mismatch code" "proto-mismatch"
-            (sfield resp "code"));
-      Client.with_conn path (fun c ->
-          let resp = request_exn c status_req in
-          Alcotest.(check bool) "proto_rejects counted" true
-            (ifield resp "proto_rejects" >= 1)))
-
-let test_version_mismatch_rejected () =
-  with_tcp ok_handler (fun path _ port ->
-      let fd = tcp_connect port in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          let hello = Frame.encode ~id:0 (Json.to_string (Frame.hello ())) in
-          let b = Bytes.of_string hello in
-          Bytes.set b 3 '\x02' (* a future protocol version *);
-          send_raw fd (Bytes.to_string b);
-          let got = read_all_raw fd in
-          let resp = parse_exn (String.trim got) in
-          Alcotest.(check string) "proto-mismatch code" "proto-mismatch"
-            (sfield resp "code"));
-      Client.with_conn path (fun c ->
-          let resp = request_exn c status_req in
-          Alcotest.(check bool) "counted as proto reject" true
-            (ifield resp "proto_rejects" >= 1)))
+      List.iter
+        (fun addr ->
+          List.iter
+            (fun (what, bytes) ->
+              let where =
+                Printf.sprintf "%s on %s" what (Client.address_to_string addr)
+              in
+              let before = status_of path in
+              let fd = raw_connect addr in
+              let got =
+                Fun.protect
+                  ~finally:(fun () -> Unix.close fd)
+                  (fun () ->
+                    send_raw fd bytes;
+                    read_all_raw fd)
+              in
+              (match String.split_on_char '\n' got with
+              | [ line; "" ] ->
+                  Alcotest.(check string) (where ^ ": proto-mismatch") "proto-mismatch"
+                    (sfield (parse_exn line) "code")
+              | _ -> Alcotest.failf "%s: expected one line, got %S" where got);
+              let after = status_of path in
+              let delta f = ifield after f - ifield before f in
+              Alcotest.(check int) (where ^ ": one proto reject") 1
+                (delta "proto_rejects");
+              Alcotest.(check int) (where ^ ": no frame error") 0 (delta "frame_errors"))
+            openers)
+        (both_addrs path port))
 
 let test_torn_frame_after_hello () =
   with_tcp ok_handler (fun path _ port ->
-      let fd = tcp_connect port in
+      let fd = raw_connect (Client.Tcp ("127.0.0.1", port)) in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
@@ -202,7 +185,9 @@ let test_torn_frame_after_hello () =
           | Ok (Some f) ->
               let resp = parse_exn f.Frame.payload in
               Alcotest.(check string) "framed frame-error" "frame-error"
-                (sfield resp "code")
+                (sfield resp "code");
+              Alcotest.(check bool) "a tear is worth a retry" true
+                (bfield resp "retryable")
           | Ok None -> Alcotest.fail "closed without the framed error"
           | Error e ->
               Alcotest.failf "server sent undecodable bytes: %a" Frame.pp_error e);
@@ -210,14 +195,20 @@ let test_torn_frame_after_hello () =
           | Ok None -> () (* EOF: the connection is terminal *)
           | Ok (Some _) -> Alcotest.fail "connection survived a torn frame"
           | Error e -> Alcotest.failf "garbage after error: %a" Frame.pp_error e);
-      Client.with_conn path (fun c ->
-          let resp = request_exn c status_req in
-          Alcotest.(check bool) "frame_errors counted" true
-            (ifield resp "frame_errors" >= 1)))
+      Alcotest.(check bool) "frame_errors counted" true
+        (ifield (status_of path) "frame_errors" >= 1))
 
+(* The frame cap holds on both sockets: a forged header is refused
+   before its payload is buffered, and a real request over the cap is a
+   fatal frame-error answered on the first attempt — the same bytes
+   would be refused again, so the client does not retry them. *)
 let test_oversized_frame_rejected () =
-  with_tcp ok_handler (fun path _ port ->
-      let fd = tcp_connect port in
+  let cap = 1024 in
+  with_tcp
+    ~tune:(fun c -> { c with Server.max_frame_bytes = cap })
+    ok_handler
+    (fun path _ port ->
+      let fd = raw_connect (Client.Tcp ("127.0.0.1", port)) in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
@@ -240,60 +231,57 @@ let test_oversized_frame_rejected () =
           match read_one_frame fd dec with
           | Ok None -> ()
           | _ -> Alcotest.fail "connection survived an oversized header");
-      Client.with_conn path (fun c ->
-          let resp = request_exn c status_req in
-          Alcotest.(check bool) "frame_errors counted" true
-            (ifield resp "frame_errors" >= 1)))
+      let big = Json.Obj [ ("tag", Json.Str (String.make (4 * cap) 'x')) ] in
+      List.iter
+        (fun addr ->
+          let where = Client.address_to_string addr in
+          let sleeps = ref 0 in
+          match
+            Client.request_retry ~sleep:(fun _ -> incr sleeps) ~seed:1 where big
+          with
+          | Ok resp ->
+              Alcotest.(check string) (where ^ ": over the cap") "frame-error"
+                (sfield resp "code");
+              Alcotest.(check bool) (where ^ ": not retryable") false
+                (bfield resp "retryable");
+              Alcotest.(check int) (where ^ ": answered on the first attempt") 0 !sleeps
+          | Error e -> Alcotest.failf "%s: %s" where e)
+        (both_addrs path port);
+      Alcotest.(check int) "frame_errors counted" 3
+        (ifield (status_of path) "frame_errors"))
 
 (* --- reaper and deadlines ---------------------------------------------- *)
 
-let test_idle_reaper_uds () =
-  Test_server.with_server
-    ~tune:(fun c -> { c with Server.idle_timeout_s = Some 0.2 })
-    ok_handler
-    (fun path _ ->
-      let conn = Client.connect path in
-      Fun.protect
-        ~finally:(fun () -> Client.close conn)
-        (fun () ->
-          (* a silent connection with nothing owed is reaped *)
-          match Client.recv_line conn with
-          | None -> ()
-          | Some l -> Alcotest.failf "reaped connection produced %S" l);
-      Client.with_conn path (fun c ->
-          let resp = request_exn c status_req in
-          Alcotest.(check bool) "idle_closed counted" true
-            (ifield resp "idle_closed" >= 1)))
-
-let test_idle_reaper_tcp () =
+let test_idle_reaper () =
   with_tcp
     ~tune:(fun c -> { c with Server.idle_timeout_s = Some 0.2 })
     ok_handler
     (fun path _ port ->
-      let conn = Client.connect_addr (Client.Tcp ("127.0.0.1", port)) in
-      Fun.protect
-        ~finally:(fun () -> Client.close conn)
-        (fun () ->
-          (* greeted, then silent: the reaper closes it *)
-          match Client.pipeline_recv conn with
-          | Ok None -> ()
-          | Ok (Some _) -> Alcotest.fail "reaped connection produced a frame"
-          | Error e ->
-              Alcotest.failf "reaped connection garbled: %s"
-                (match e with
-                | `Frame fe -> Frame.error_name fe
-                | `Garbled s -> s));
-      Client.with_conn path (fun c ->
-          let resp = request_exn c status_req in
-          Alcotest.(check bool) "idle_closed counted" true
-            (ifield resp "idle_closed" >= 1)))
+      List.iter
+        (fun addr ->
+          let conn = Client.connect_addr addr in
+          Fun.protect
+            ~finally:(fun () -> Client.close conn)
+            (fun () ->
+              (* greeted, then silent: the reaper closes it *)
+              match Client.pipeline_recv conn with
+              | Ok None -> ()
+              | Ok (Some _) -> Alcotest.fail "reaped connection produced a frame"
+              | Error e ->
+                  Alcotest.failf "reaped connection garbled: %s"
+                    (match e with
+                    | `Frame fe -> Frame.error_name fe
+                    | `Garbled s -> s)))
+        (both_addrs path port);
+      Alcotest.(check bool) "idle_closed counted on both sockets" true
+        (ifield (status_of path) "idle_closed" >= 2))
 
 let test_io_deadline_cuts_slow_loris () =
   with_tcp
     ~tune:(fun c -> { c with Server.io_deadline_s = Some 0.3 })
     ok_handler
     (fun path _ port ->
-      let fd = tcp_connect port in
+      let fd = raw_connect (Client.Tcp ("127.0.0.1", port)) in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
@@ -309,167 +297,169 @@ let test_io_deadline_cuts_slow_loris () =
             | Error e -> Alcotest.failf "garbage at close: %a" Frame.pp_error e
           in
           drain ());
-      Client.with_conn path (fun c ->
-          let resp = request_exn c status_req in
-          Alcotest.(check bool) "io_timeouts counted" true
-            (ifield resp "io_timeouts" >= 1)))
+      Alcotest.(check bool) "io_timeouts counted" true
+        (ifield (status_of path) "io_timeouts" >= 1))
 
-let test_client_recv_timeout () =
-  (* a listener that accepts and never answers: the client's receive
-     deadline must fire instead of hanging forever *)
+(* A fake server on a Unix socket: [serve fd] runs on the one accepted
+   connection. *)
+let with_fake_server serve f =
   let path = Test_server.fresh_socket () in
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_UNIX path);
   Unix.listen lfd 1;
   let accepted = ref None in
-  let acceptor =
-    Thread.create
-      (fun () ->
-        match Unix.accept lfd with
-        | fd, _ -> accepted := Some fd
-        | exception _ -> ())
-      ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close lfd with _ -> ());
-      Thread.join acceptor;
-      (match !accepted with Some fd -> ( try Unix.close fd with _ -> ()) | None -> ());
-      try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let conn = Client.connect_addr ~recv_timeout_s:0.3 (Client.Uds path) in
-      Fun.protect
-        ~finally:(fun () -> Client.close conn)
-        (fun () ->
-          match Client.exchange conn status_req with
-          | exception Unix.Unix_error (Unix.ETIMEDOUT, _, _) -> ()
-          | Ok _ -> Alcotest.fail "silent server produced a response"
-          | Error _ -> Alcotest.fail "expected ETIMEDOUT, got a protocol error"))
-
-let test_dribbled_line_response () =
-  (* a server that answers one byte at a time: the client line reader
-     must reassemble it *)
-  let path = Test_server.fresh_socket () in
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind lfd (Unix.ADDR_UNIX path);
-  Unix.listen lfd 1;
   let server =
     Thread.create
       (fun () ->
         match Unix.accept lfd with
         | exception _ -> ()
         | fd, _ ->
-            let buf = Bytes.create 1024 in
-            let _ = Unix.read fd buf 0 (Bytes.length buf) in
-            let resp = {|{"id": 1, "status": "ok"}|} ^ "\n" in
-            String.iter
-              (fun c ->
-                ignore (Unix.write fd (Bytes.make 1 c) 0 1);
-                Thread.delay 0.002)
-              resp;
-            Unix.close fd)
+            accepted := Some fd;
+            serve fd)
       ()
   in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close lfd with _ -> ());
       Thread.join server;
+      (match !accepted with Some fd -> ( try Unix.close fd with _ -> ()) | None -> ());
       try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
+    (fun () -> f path)
+
+let test_client_recv_timeout () =
+  (* a listener that accepts and never answers — not even the hello:
+     the client's receive deadline must fire instead of hanging *)
+  with_fake_server ignore (fun path ->
+      match
+        Client.with_addr ~recv_timeout_s:0.3 (Client.Uds path) (fun conn ->
+            Client.exchange conn status_req)
+      with
+      | exception Unix.Unix_error (Unix.ETIMEDOUT, _, _) -> ()
+      | Ok _ -> Alcotest.fail "silent server produced a response"
+      | Error _ -> Alcotest.fail "expected ETIMEDOUT, got a protocol error")
+
+let test_dribbled_response () =
+  (* a server that answers one byte at a time: the client's frame
+     decoder must reassemble both the hello-ack and the response *)
+  let dribble fd s =
+    String.iter
+      (fun c ->
+        ignore (Unix.write fd (Bytes.make 1 c) 0 1);
+        Thread.delay 0.002)
+      s
+  in
+  let serve fd =
+    let dec = Frame.decoder () in
+    match read_one_frame fd dec with
+    | Ok (Some hello) -> (
+        dribble fd (Frame.encode ~id:hello.Frame.id (Json.to_string (Frame.hello ())));
+        match read_one_frame fd dec with
+        | Ok (Some req) ->
+            dribble fd (Frame.encode ~id:req.Frame.id {|{"id": 1, "status": "ok"}|})
+        | _ -> ())
+    | _ -> ()
+  in
+  with_fake_server serve (fun path ->
       Client.with_conn path (fun conn ->
           let resp = request_exn conn (Json.Obj [ ("id", Json.Int 1) ]) in
           Alcotest.(check string) "reassembled" "ok" (sfield resp "status")))
 
 (* --- chaos e2e --------------------------------------------------------- *)
 
-(* Every fault class, through a real proxy in front of a real TCP
-   server: request_retry must recover every time — the faulted
+(* Every fault class, through a real proxy in front of a real server,
+   listening on [listen] and forwarding to the server socket of the
+   same family: request_retry must recover every time — the faulted
    connection costs a retry, never an error. Deterministic in the
    seed. *)
+let chaos_classes_recover ~listen ~upstream =
+  List.iter
+    (fun cls ->
+      List.iter
+        (fun seed ->
+          let spec = { Netfault.cls; seed } in
+          let stop = ref false in
+          let bound = ref None in
+          let lock = Mutex.create () in
+          let bound_cv = Condition.create () in
+          let proxy =
+            Thread.create
+              (fun () ->
+                Netfault.proxy ~listen ~upstream
+                  ~stop:(fun () -> !stop)
+                  ~delay_s:1.0
+                  ~on_listen:(fun addr ->
+                    Mutex.lock lock;
+                    bound :=
+                      Some
+                        (match addr with
+                        | Unix.ADDR_INET (_, p) -> Printf.sprintf "127.0.0.1:%d" p
+                        | Unix.ADDR_UNIX p -> p);
+                    Condition.signal bound_cv;
+                    Mutex.unlock lock)
+                  spec)
+              ()
+          in
+          Mutex.lock lock;
+          while !bound = None do
+            Condition.wait bound_cv lock
+          done;
+          let addr = Option.get !bound in
+          Mutex.unlock lock;
+          Fun.protect
+            ~finally:(fun () ->
+              stop := true;
+              Thread.join proxy)
+            (fun () ->
+              (* connection 0 is faulted for seed 0; later seeds
+                 shift the faulted residue — both paths must end Ok *)
+              for i = 0 to 2 do
+                match
+                  Client.request_retry ~recv_timeout_s:2.0 ~seed:i addr
+                    (Json.Obj [ ("id", Json.Int i); ("tag", Json.Int (100 + i)) ])
+                with
+                | Ok resp ->
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s via %s req %d recovered"
+                         (Netfault.to_string spec) addr i)
+                      "ok" (sfield resp "status")
+                | Error e ->
+                    Alcotest.failf "%s via %s req %d failed: %s"
+                      (Netfault.to_string spec) addr i e
+              done))
+        [ 0; 1 ])
+    Netfault.all_classes
+
 let test_chaos_classes_recover () =
   with_tcp
     ~tune:(fun c -> { c with Server.io_deadline_s = Some 0.3 })
     ok_handler
-    (fun _ _ port ->
-      let upstream = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+    (fun path _ port ->
+      let proxy_path = Test_server.fresh_socket () in
       List.iter
-        (fun cls ->
-          List.iter
-            (fun seed ->
-              let spec = { Netfault.cls; seed } in
-              let stop = ref false in
-              let proxy_port = ref 0 in
-              let bound = Mutex.create () in
-              let bound_cv = Condition.create () in
-              let proxy =
-                Thread.create
-                  (fun () ->
-                    Netfault.proxy
-                      ~listen:(Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
-                      ~upstream
-                      ~stop:(fun () -> !stop)
-                      ~delay_s:1.0
-                      ~on_listen:(fun addr ->
-                        Mutex.lock bound;
-                        (match addr with
-                        | Unix.ADDR_INET (_, p) -> proxy_port := p
-                        | _ -> ());
-                        Condition.signal bound_cv;
-                        Mutex.unlock bound)
-                      spec)
-                  ()
-              in
-              Mutex.lock bound;
-              while !proxy_port = 0 do
-                Condition.wait bound_cv bound
-              done;
-              let addr = Printf.sprintf "127.0.0.1:%d" !proxy_port in
-              Mutex.unlock bound;
-              Fun.protect
-                ~finally:(fun () ->
-                  stop := true;
-                  Thread.join proxy)
-                (fun () ->
-                  (* connection 0 is faulted for seed 0; later seeds
-                     shift the faulted residue — both paths must end Ok *)
-                  for i = 0 to 2 do
-                    match
-                      Client.request_retry ~recv_timeout_s:2.0 ~seed:i addr
-                        (Json.Obj
-                           [ ("id", Json.Int i); ("tag", Json.Int (100 + i)) ])
-                    with
-                    | Ok resp ->
-                        Alcotest.(check string)
-                          (Printf.sprintf "%s req %d recovered"
-                             (Netfault.to_string spec) i)
-                          "ok" (sfield resp "status")
-                    | Error e ->
-                        Alcotest.failf "%s req %d failed: %s"
-                          (Netfault.to_string spec) i e
-                  done))
-            [ 0; 1 ])
-        Netfault.all_classes)
+        (fun (listen, upstream) -> chaos_classes_recover ~listen ~upstream)
+        [
+          ( Unix.ADDR_INET (Unix.inet_addr_loopback, 0),
+            Unix.ADDR_INET (Unix.inet_addr_loopback, port) );
+          (Unix.ADDR_UNIX proxy_path, Unix.ADDR_UNIX path);
+        ])
 
 let suite =
   [
     Alcotest.test_case "TCP hello and request" `Quick test_tcp_hello_and_request;
     Alcotest.test_case "pipelining completes out of order" `Quick
       test_pipelining_out_of_order;
-    Alcotest.test_case "legacy line client rejected" `Quick
-      test_legacy_client_rejected;
-    Alcotest.test_case "version mismatch rejected" `Quick
-      test_version_mismatch_rejected;
+    Alcotest.test_case "non-NF1 first bytes rejected" `Quick
+      test_non_nf1_rejected;
     Alcotest.test_case "torn frame answered framed, then closed" `Quick
       test_torn_frame_after_hello;
     Alcotest.test_case "oversized header rejected" `Quick
       test_oversized_frame_rejected;
-    Alcotest.test_case "idle reaper on UDS" `Quick test_idle_reaper_uds;
-    Alcotest.test_case "idle reaper on TCP" `Quick test_idle_reaper_tcp;
+    Alcotest.test_case "idle reaper on both sockets" `Quick test_idle_reaper;
     Alcotest.test_case "io deadline cuts slow loris" `Quick
       test_io_deadline_cuts_slow_loris;
     Alcotest.test_case "client recv timeout" `Quick test_client_recv_timeout;
-    Alcotest.test_case "dribbled line response reassembled" `Quick
-      test_dribbled_line_response;
+    Alcotest.test_case "dribbled response reassembled" `Quick
+      test_dribbled_response;
     Alcotest.test_case "chaos classes recover through proxy" `Slow
       test_chaos_classes_recover;
   ]

@@ -318,6 +318,19 @@ wait "$BATCH" 2>/dev/null || true
 [ "$(cat "$BOUT")" = "0" ] \
     || sfail "client batch across shard kill exited $(cat "$BOUT"), want 0"
 
+# the router reaches the shards over their Unix sockets, which speak NF1
+# like every other socket; the torn-frame proxy sits in front of the
+# router, so any wire error counted on a shard is a real bug
+for s in "$S0" "$S1" "$S2"; do
+    SST=$(timeout 30 ./_build/default/bin/nascentc.exe client --connect "$s" \
+        --status --retries 12 --max-wait-ms 40000) \
+        || sfail "status of shard $s exited $?"
+    echo "$SST" | grep -q '"proto_rejects":0' \
+        || sfail "shard $s counted protocol rejects: $SST"
+    echo "$SST" | grep -q '"frame_errors":0' \
+        || sfail "shard $s counted frame errors: $SST"
+done
+
 # the supervisor restarted s1 and it rejoined the ring
 S1STATUS=$(timeout 30 ./_build/default/bin/nascentc.exe client \
     --connect "$S1" --status --retries 12 --max-wait-ms 40000) \
