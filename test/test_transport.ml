@@ -120,48 +120,43 @@ let test_pipelining_out_of_order () =
 (* Whatever the first bytes on either socket, a peer that does not open
    with an NF1 hello gets one proto-mismatch line and a close, counted
    once as a proto reject and never as a frame error. *)
-let test_non_nf1_rejected () =
-  let future_version =
-    let b = Bytes.of_string (Frame.encode ~id:0 (Json.to_string (Frame.hello ()))) in
-    Bytes.set b 3 '\x02';
-    Bytes.to_string b
-  in
-  let openers =
-    [
-      ("newline JSON", Json.to_string status_req ^ "\n");
-      ("wrong version", future_version);
-      ("garbage", "GET / HTTP/1.0\r\n\r\n");
-    ]
-  in
+let rejects_opener (what, bytes) () =
   with_tcp ok_handler (fun path _ port ->
       List.iter
         (fun addr ->
-          List.iter
-            (fun (what, bytes) ->
-              let where =
-                Printf.sprintf "%s on %s" what (Client.address_to_string addr)
-              in
-              let before = status_of path in
-              let fd = raw_connect addr in
-              let got =
-                Fun.protect
-                  ~finally:(fun () -> Unix.close fd)
-                  (fun () ->
-                    send_raw fd bytes;
-                    read_all_raw fd)
-              in
-              (match String.split_on_char '\n' got with
-              | [ line; "" ] ->
-                  Alcotest.(check string) (where ^ ": proto-mismatch") "proto-mismatch"
-                    (sfield (parse_exn line) "code")
-              | _ -> Alcotest.failf "%s: expected one line, got %S" where got);
-              let after = status_of path in
-              let delta f = ifield after f - ifield before f in
-              Alcotest.(check int) (where ^ ": one proto reject") 1
-                (delta "proto_rejects");
-              Alcotest.(check int) (where ^ ": no frame error") 0 (delta "frame_errors"))
-            openers)
+          let where =
+            Printf.sprintf "%s on %s" what (Client.address_to_string addr)
+          in
+          let before = status_of path in
+          let fd = raw_connect addr in
+          let got =
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                send_raw fd bytes;
+                read_all_raw fd)
+          in
+          (match String.split_on_char '\n' got with
+          | [ line; "" ] ->
+              Alcotest.(check string) (where ^ ": proto-mismatch") "proto-mismatch"
+                (sfield (parse_exn line) "code")
+          | _ -> Alcotest.failf "%s: expected one line, got %S" where got);
+          let after = status_of path in
+          let delta f = ifield after f - ifield before f in
+          Alcotest.(check int) (where ^ ": one proto reject") 1
+            (delta "proto_rejects");
+          Alcotest.(check int) (where ^ ": no frame error") 0 (delta "frame_errors"))
         (both_addrs path port))
+
+let test_legacy_client_rejected =
+  rejects_opener ("newline JSON", Json.to_string status_req ^ "\n")
+
+let test_version_mismatch_rejected =
+  let b = Bytes.of_string (Frame.encode ~id:0 (Json.to_string (Frame.hello ()))) in
+  Bytes.set b 3 '\x02' (* a future protocol version *);
+  rejects_opener ("wrong version", Bytes.to_string b)
+
+let test_non_nf1_rejected = rejects_opener ("garbage", "GET / HTTP/1.0\r\n\r\n")
 
 let test_torn_frame_after_hello () =
   with_tcp ok_handler (fun path _ port ->
@@ -252,29 +247,31 @@ let test_oversized_frame_rejected () =
 
 (* --- reaper and deadlines ---------------------------------------------- *)
 
-let test_idle_reaper () =
+let test_idle_reaper which () =
   with_tcp
     ~tune:(fun c -> { c with Server.idle_timeout_s = Some 0.2 })
     ok_handler
     (fun path _ port ->
-      List.iter
-        (fun addr ->
-          let conn = Client.connect_addr addr in
-          Fun.protect
-            ~finally:(fun () -> Client.close conn)
-            (fun () ->
-              (* greeted, then silent: the reaper closes it *)
-              match Client.pipeline_recv conn with
-              | Ok None -> ()
-              | Ok (Some _) -> Alcotest.fail "reaped connection produced a frame"
-              | Error e ->
-                  Alcotest.failf "reaped connection garbled: %s"
-                    (match e with
-                    | `Frame fe -> Frame.error_name fe
-                    | `Garbled s -> s)))
-        (both_addrs path port);
-      Alcotest.(check bool) "idle_closed counted on both sockets" true
-        (ifield (status_of path) "idle_closed" >= 2))
+      let addr =
+        match which with
+        | `Uds -> Client.Uds path
+        | `Tcp -> Client.Tcp ("127.0.0.1", port)
+      in
+      let conn = Client.connect_addr addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close conn)
+        (fun () ->
+          (* greeted, then silent: the reaper closes it *)
+          match Client.pipeline_recv conn with
+          | Ok None -> ()
+          | Ok (Some _) -> Alcotest.fail "reaped connection produced a frame"
+          | Error e ->
+              Alcotest.failf "reaped connection garbled: %s"
+                (match e with
+                | `Frame fe -> Frame.error_name fe
+                | `Garbled s -> s));
+      Alcotest.(check bool) "idle_closed counted" true
+        (ifield (status_of path) "idle_closed" >= 1))
 
 let test_io_deadline_cuts_slow_loris () =
   with_tcp
@@ -448,13 +445,18 @@ let suite =
     Alcotest.test_case "TCP hello and request" `Quick test_tcp_hello_and_request;
     Alcotest.test_case "pipelining completes out of order" `Quick
       test_pipelining_out_of_order;
+    Alcotest.test_case "legacy line client rejected" `Quick
+      test_legacy_client_rejected;
+    Alcotest.test_case "version mismatch rejected" `Quick
+      test_version_mismatch_rejected;
     Alcotest.test_case "non-NF1 first bytes rejected" `Quick
       test_non_nf1_rejected;
     Alcotest.test_case "torn frame answered framed, then closed" `Quick
       test_torn_frame_after_hello;
     Alcotest.test_case "oversized header rejected" `Quick
       test_oversized_frame_rejected;
-    Alcotest.test_case "idle reaper on both sockets" `Quick test_idle_reaper;
+    Alcotest.test_case "idle reaper on UDS" `Quick (test_idle_reaper `Uds);
+    Alcotest.test_case "idle reaper on TCP" `Quick (test_idle_reaper `Tcp);
     Alcotest.test_case "io deadline cuts slow loris" `Quick
       test_io_deadline_cuts_slow_loris;
     Alcotest.test_case "client recv timeout" `Quick test_client_recv_timeout;
