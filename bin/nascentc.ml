@@ -187,7 +187,8 @@ let stats_json_arg =
 let setup_trace trace =
   if trace then begin
     Logs.set_reporter (Logs.format_reporter ());
-    Logs.Src.set_level Core.Optimizer.log_src (Some Logs.Debug)
+    Logs.Src.set_level Core.Optimizer.log_src (Some Logs.Debug);
+    Logs.Src.set_level Ir.Validate.log_src (Some Logs.Debug)
   end
 
 (* temp + rename: a crashed or interrupted run never leaves a torn

@@ -112,10 +112,11 @@ let redundancy_elimination (env : Analyses.env) (st : stats) : unit =
    translation validator re-derives every proof on the post-deletion
    function. A [Cond_check] whose check is provable outright is deleted
    too — if its guard is true the check runs and passes, and if false
-   the instruction was a no-op either way. *)
-let oracle_elimination (f : Ir.Func.t) (st : stats) : unit =
+   the instruction was a no-op either way. [memo] is the function's
+   entailment memo, shared with the translation validator. *)
+let oracle_elimination ~memo (f : Ir.Func.t) (st : stats) : unit =
   let atoms = f.Ir.Func.atoms in
-  let entry = Ir.Validate.Facts.ambient_entry f in
+  let entry = Ir.Validate.Facts.ambient_entry ~memo f in
   let reach = Ir.Func.reachable f in
   Ir.Func.iter_blocks
     (fun b ->
@@ -126,7 +127,7 @@ let oracle_elimination (f : Ir.Func.t) (st : stats) : unit =
             (fun i ->
               let provable m =
                 match !state with
-                | Some s -> Ir.Validate.Facts.proves s m.chk
+                | Some s -> Ir.Validate.Facts.proves ~memo s m.chk
                 | None -> true (* dead past an unconditional trap *)
               in
               match i with
@@ -194,13 +195,3 @@ let compile_time_checks (f : Ir.Func.t) (st : stats) : unit =
             | _ -> Some i)
           b.instrs)
     f
-
-(* The standard tail of every scheme: redundancy elimination followed
-   by compile-time folding. *)
-let run (ctx : Checkctx.t) : stats =
-  let st = new_stats () in
-  let env = Analyses.make_env ctx in
-  redundancy_elimination env st;
-  if ctx.Checkctx.oracle then oracle_elimination ctx.Checkctx.func st;
-  compile_time_checks ctx.Checkctx.func st;
-  st

@@ -17,16 +17,17 @@ val redundancy_elimination : Analyses.env -> stats -> unit
     availability; a check instruction whose check is covered by an
     available one is deleted, otherwise it generates. *)
 
-val oracle_elimination : Nascent_ir.Func.t -> stats -> unit
+val oracle_elimination :
+  memo:Nascent_ir.Validate.Memo.t -> Nascent_ir.Func.t -> stats -> unit
 (** Step 4b ([--oracle] only): delete every check (and every guarded
     check) provable from the {e ambient} facts of its program point —
     branch conditions, assignment postconditions, and affine loop
     invariants, with check instructions contributing nothing
     ({!Nascent_ir.Validate.Facts}). Check-independence keeps the
     deletions stable under each other, so the per-compile translation
-    validator re-proves every one on the post-deletion function. *)
+    validator re-proves every one on the post-deletion function.
+    [memo] is the function's entailment memo, which the validator
+    reuses. *)
 
 val compile_time_checks : Nascent_ir.Func.t -> stats -> unit
 (** Step 5; also folds constant conditional-check guards. *)
-
-val run : Checkctx.t -> stats

@@ -72,6 +72,8 @@ type stats = {
   incidents : incident list; (* rolled-back passes, pipeline order *)
   faults_injected : int; (* corruptions Mutate actually applied/triggered *)
   elapsed_s : float; (* monotonic optimization time, Table 2/3's Range column *)
+  oracle_queries : int; (* entailment queries the oracle ran (oracle-elim + validate) *)
+  oracle_memo_hits : int; (* entailment queries answered from the memo *)
   validation : Ir.Validate.t option;
       (* the translation-validation certificate; [None] unless the
          compile ran with [Config.oracle] *)
@@ -95,6 +97,8 @@ let empty_stats config =
     incidents = [];
     faults_injected = 0;
     elapsed_s = 0.0;
+    oracle_queries = 0;
+    oracle_memo_hits = 0;
     validation = None;
   }
 
@@ -141,6 +145,8 @@ let add a b =
     incidents = a.incidents @ b.incidents;
     faults_injected = a.faults_injected + b.faults_injected;
     elapsed_s = a.elapsed_s +. b.elapsed_s;
+    oracle_queries = a.oracle_queries + b.oracle_queries;
+    oracle_memo_hits = a.oracle_memo_hits + b.oracle_memo_hits;
     validation =
       (match (a.validation, b.validation) with
       | None, v | v, None -> v
@@ -256,9 +262,13 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
   (* Translation validation compares the final function against the
      state entering the optimization pipeline proper (the INX rewrite
      above is certified by its own differential rules); snapshot it
-     only when the certificate was asked for. *)
-  let reference =
-    if config.Config.oracle then Some (Ir.Transform.copy_func f) else None
+     only when the certificate was asked for. With it comes the
+     function's entailment memo, shared by oracle-elim and the
+     validator: the validator re-asks much of what oracle-elim proved. *)
+  let oracle =
+    if config.Config.oracle then
+      Some (Ir.Transform.copy_func f, Ir.Validate.Memo.create ())
+    else None
   in
   (* The context — canonical site checks, kill oracles, loop structure,
      CIG — is built once and shared by every pass; [Checkctx.refresh]
@@ -349,10 +359,11 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
          separate so a rolled-back sweep contributes zero. *)
       let eo = Eliminate.new_stats () in
       let oelim =
-        if config.Config.oracle then
-          run_pass "oracle-elim" ~vpass:Ir.Verify.Elimination (fun () ->
-              Eliminate.oracle_elimination f eo)
-        else Ok ()
+        match oracle with
+        | Some (_, memo) ->
+            run_pass "oracle-elim" ~vpass:Ir.Verify.Elimination (fun () ->
+                Eliminate.oracle_elimination ~memo f eo)
+        | None -> Ok ()
       in
       let fold =
         run_pass "fold" ~vpass:Ir.Verify.Fold (fun () -> Eliminate.compile_time_checks f e)
@@ -375,11 +386,11 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
      budget — but is timed like a pass so the [--oracle] compile-time
      columns account for it. *)
   let validation =
-    match reference with
+    match oracle with
     | None -> None
-    | Some orig ->
+    | Some (orig, memo) ->
         let t = Mclock.counter () in
-        let v = Ir.Validate.func_guarded ~original:orig ~optimized:f in
+        let v = Ir.Validate.func_guarded ~memo ~original:orig ~optimized:f in
         let dt = Mclock.elapsed_s t in
         passes :=
           {
@@ -404,6 +415,8 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
       incidents = List.rev !incidents;
       faults_injected = !faults_injected;
       elapsed_s = Mclock.elapsed_s t0;
+      oracle_queries = Option.fold ~none:0 ~some:(fun (_, m) -> Ir.Validate.Memo.queries m) oracle;
+      oracle_memo_hits = Option.fold ~none:0 ~some:(fun (_, m) -> Ir.Validate.Memo.hits m) oracle;
       validation;
     }
   in
@@ -484,6 +497,8 @@ let stats_to_json (s : stats) : string =
   pf "  \"redundant_deleted\": %d,\n" s.redundant_deleted;
   pf "  \"compile_time_deleted\": %d,\n" s.compile_time_deleted;
   pf "  \"compile_time_traps\": %d,\n" s.compile_time_traps;
+  pf "  \"oracle_queries\": %d,\n" s.oracle_queries;
+  pf "  \"oracle_memo_hits\": %d,\n" s.oracle_memo_hits;
   pf "  \"elapsed_s\": %.9f,\n" s.elapsed_s;
   pf "  \"passes\": [";
   List.iteri

@@ -89,6 +89,13 @@ type stats = {
           triggered; [0] in every fault-free compile *)
   elapsed_s : float;
       (** monotonic optimization time — Table 2/3's "Range" column *)
+  oracle_queries : int;
+      (** entailment queries the oracle ran for oracle-elim and the
+          validator (distinct per function); [0] without
+          [Config.oracle] *)
+  oracle_memo_hits : int;
+      (** entailment queries answered from the per-function memo
+          ({!Nascent_ir.Validate.Memo}) instead of the oracle *)
   validation : Nascent_ir.Validate.t option;
       (** the translation-validation certificate ({!Nascent_ir.Validate}):
           proven/failed coverage of every reference check site. [None]

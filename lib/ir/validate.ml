@@ -49,7 +49,14 @@
    The validator is total and fail-safe: anything it cannot relate —
    structure mismatch, unlinearizable guard, oracle "unknown" — is a
    reported failure, never an exception, and the whole run is bounded
-   by its own {!Guard} fuel budget. *)
+   by its own {!Guard} fuel budget.
+
+   Every entailment query goes through a per-function {!Memo} keyed on
+   (fact set, goal). The data-flow's semantic meet re-proves the same
+   candidates on every sweep, and the validator re-asks what oracle
+   elimination already proved on the same function; the memo answers
+   those repeats without re-running Fourier–Motzkin. Fixpoint progress
+   is traced on the "nascent.validate" log source at debug level. *)
 
 module Atom = Nascent_checks.Atom
 module Check = Nascent_checks.Check
@@ -57,6 +64,11 @@ module Linexpr = Nascent_checks.Linexpr
 module Oracle = Nascent_checks.Oracle
 module Guard = Nascent_support.Guard
 open Types
+
+let log_src =
+  Logs.Src.create "nascent.validate" ~doc:"Translation validator hypothesis fixpoint"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let fuel_budget = 2_000_000
 let budget_name = "validate"
@@ -168,14 +180,49 @@ let constraints_of_opt ~positive atoms e =
 
 (* --- proofs ---------------------------------------------------------- *)
 
-let entails (facts : CSet.t) (goal : Check.t) : bool =
-  Guard.tick_ambient ();
-  Oracle.implies ~hyps:(CSet.elements facts) goal
+(* Exact entailment memo for one function. The oracle's answer is a
+   deterministic function of the hypothesis list and the goal, and
+   [CSet.elements] gives equal sets the same list, so a stored answer
+   is exactly what a re-run would return. Only returned answers are
+   stored: a query cut short by an exception (ambient fuel, deadline)
+   leaves no entry. Every call, hit or miss, still ticks the ambient
+   budgets once, so the pass watchdog keeps observing the work. *)
+module Memo = struct
+  module Tbl = Hashtbl.Make (struct
+    type t = CSet.t * Check.t
+
+    let equal (s1, g1) (s2, g2) = Check.equal g1 g2 && CSet.equal s1 s2
+    let hash (s, g) = CSet.fold (fun c h -> (h * 31) + Check.hash c) s (Check.hash g)
+  end)
+
+  type t = { tbl : bool Tbl.t; mutable queries : int; mutable hits : int }
+
+  let create () = { tbl = Tbl.create 256; queries = 0; hits = 0 }
+  let queries m = m.queries
+  let hits m = m.hits
+
+  let entails_set m (facts : CSet.t) (goal : Check.t) : bool =
+    Guard.tick_ambient ();
+    let key = (facts, goal) in
+    match Tbl.find_opt m.tbl key with
+    | Some r ->
+        m.hits <- m.hits + 1;
+        r
+    | None ->
+        let r = Oracle.implies ~hyps:(CSet.elements facts) goal in
+        Tbl.add m.tbl key r;
+        m.queries <- m.queries + 1;
+        r
+
+  let entails m ~hyps goal = entails_set m (CSet.of_list hyps) goal
+end
+
+let entails = Memo.entails_set
 
 (* Activate every conditional fact whose guards the current facts
    prove, to fixpoint (each round either fires at least one pending
    conditional or stops, so it terminates in at most |conds| rounds). *)
-let close (h : hstate) : CSet.t =
+let close memo (h : hstate) : CSet.t =
   let facts = ref h.facts in
   let pending = ref (CondSet.elements h.conds) in
   let continue = ref (!pending <> []) in
@@ -185,7 +232,7 @@ let close (h : hstate) : CSet.t =
     pending :=
       List.filter
         (fun (gs, c) ->
-          if List.for_all (fun g -> entails !facts g) gs then begin
+          if List.for_all (fun g -> entails memo !facts g) gs then begin
             facts := CSet.add c !facts;
             continue := true;
             false
@@ -270,40 +317,40 @@ let assign_transfer atoms (v : var) (e : expr) (h : hstate) : hstate =
             | exception Linexpr.Overflow -> h)
         | _ -> plain_kill ())
 
-(* Transfer for one optimized-side instruction; [None] = code past an
-   unconditional trap (dead, hypotheses irrelevant). [checks:false] is
-   the {e ambient} variant: check instructions contribute nothing, so
-   the resulting facts depend only on assignments and branch structure
-   — exactly the facts that survive any further check deletion. *)
-let transfer ?(checks = true) atoms (h : hstate option) (i : instr) :
-    hstate option =
+(* Ambient transfer for one optimized-side instruction; [None] = code
+   past an unconditional trap (dead, hypotheses irrelevant). Check
+   instructions contribute nothing, so the resulting facts depend only
+   on assignments and branch structure — exactly the facts that
+   survive any further check deletion. *)
+let transfer_ambient atoms (h : hstate option) (i : instr) : hstate option =
   match h with
   | None -> None
   | Some h -> (
       match i with
-      | Check m ->
-          if checks then Some { h with facts = CSet.add m.chk h.facts }
-          else Some h
-      | Cond_check _ when not checks -> Some h
-      | Cond_check (g, m) -> (
-          match constraints_of ~positive:true atoms g with
-          | exception Linexpr.Overflow -> Some h
-          | None -> Some h
-          | Some [] -> Some { h with facts = CSet.add m.chk h.facts }
-          | Some gs ->
-              let conds =
-                CondSet.add (List.sort Check.compare gs, m.chk) h.conds
-              in
-              let facts =
-                if List.for_all (entails h.facts) gs then
-                  CSet.add m.chk h.facts
-                else h.facts
-              in
-              Some { facts; conds })
+      | Check _ | Cond_check _ | Print _ -> Some h
       | Trap _ -> None
       | Assign (v, e) -> Some (assign_transfer atoms v e h)
-      | Store _ | Call _ -> Some (kill_state (Atoms.killed_by_store atoms) h)
-      | Print _ -> Some h)
+      | Store _ | Call _ -> Some (kill_state (Atoms.killed_by_store atoms) h))
+
+(* Full transfer: performed checks become facts, guarded checks become
+   conditional facts (and facts outright where the guards are already
+   proven). *)
+let transfer memo atoms (h : hstate option) (i : instr) : hstate option =
+  match (h, i) with
+  | Some h, Check m -> Some { h with facts = CSet.add m.chk h.facts }
+  | Some h, Cond_check (g, m) -> (
+      match constraints_of ~positive:true atoms g with
+      | exception Linexpr.Overflow -> Some h
+      | None -> Some h
+      | Some [] -> Some { h with facts = CSet.add m.chk h.facts }
+      | Some gs ->
+          let conds = CondSet.add (List.sort Check.compare gs, m.chk) h.conds in
+          let facts =
+            if List.for_all (entails memo h.facts) gs then CSet.add m.chk h.facts
+            else h.facts
+          in
+          Some { facts; conds })
+  | _ -> transfer_ambient atoms h i
 
 (* --- block-entry hypotheses: must-availability + edge facts --------- *)
 
@@ -311,8 +358,9 @@ let transfer ?(checks = true) atoms (h : hstate option) (i : instr) :
    "not yet reached" (top); in(b) is the semantic meet over reachable
    predecessors of out(p) + the constraints of the edge p->b's branch
    condition. A block ending in (or past) a trap propagates top. *)
-let entry_hyps ?(checks = true) (f : Func.t) : hstate array =
+let entry_hyps memo ~checks (f : Func.t) : hstate array =
   let atoms = f.Func.atoms in
+  let transfer = if checks then transfer memo atoms else transfer_ambient atoms in
   let n = Func.num_blocks f in
   let reach = Func.reachable f in
   let preds = Func.preds_array f in
@@ -385,11 +433,11 @@ let entry_hyps ?(checks = true) (f : Func.t) : hstate array =
       match paths with
       | [] -> h_empty
       | _ ->
-          let judged = List.map (fun h -> (h.facts, lazy (close h))) paths in
+          let judged = List.map (fun h -> (h.facts, lazy (close memo h))) paths in
           let proven_on_all c =
             List.for_all
               (fun (facts, closed) ->
-                CSet.mem c facts || entails (Lazy.force closed) c)
+                CSet.mem c facts || entails memo (Lazy.force closed) c)
               judged
           in
           let base =
@@ -436,44 +484,63 @@ let entry_hyps ?(checks = true) (f : Func.t) : hstate array =
      subset of a sound must-set is still a sound must-set. The sweep
      cap is a backstop for the fuel-bounded (hence not perfectly
      monotone) oracle inside [transfer]; on non-convergence fall back
-     to the sound weak seed (empty hypothesis states). *)
+     to the sound weak seed (empty hypothesis states).
+
+     A block none of whose predecessors' outs changed since its last
+     visit is skipped: [in_of] reads nothing else, so re-running it
+     would recompute the same entry state — after widening too, since
+     [ins.(b)] is already a subset of that state — and the same out.
+     Visits are stamped with a running counter; [changed_at.(p)] is
+     the stamp of the visit that last changed [out.(p)]. *)
   let max_sweeps = (2 * n) + 8 in
   let sweeps = ref 0 in
+  let stamp = ref 0 in
+  let visited_at = Array.make n (-1) in
+  let changed_at = Array.make n (-1) in
+  let skipped = ref 0 in
+  let stale b =
+    visited_at.(b) < 0 || List.exists (fun p -> changed_at.(p) >= visited_at.(b)) preds.(b)
+  in
   while !changed && !sweeps <= max_sweeps do
     changed := false;
     incr sweeps;
     Guard.tick_ambient ();
     List.iter
       (fun b ->
-        let i = in_of b in
-        let i =
-          if !sweeps <= 2 then i
-          else
-            {
-              facts = CSet.inter i.facts ins.(b).facts;
-              conds = CondSet.inter i.conds ins.(b).conds;
-            }
-        in
-        ins.(b) <- i;
-        let o =
-          List.fold_left (transfer ~checks atoms) (Some i) (Func.block f b).instrs
-        in
-        if not (same_out out.(b) (Some o)) then begin
-          out.(b) <- Some o;
-          changed := true
-        end)
+        if not (stale b) then incr skipped
+        else begin
+          visited_at.(b) <- !stamp;
+          let i = in_of b in
+          let i =
+            if !sweeps <= 2 then i
+            else
+              {
+                facts = CSet.inter i.facts ins.(b).facts;
+                conds = CondSet.inter i.conds ins.(b).conds;
+              }
+          in
+          ins.(b) <- i;
+          let o = List.fold_left transfer (Some i) (Func.block f b).instrs in
+          if not (same_out out.(b) (Some o)) then begin
+            out.(b) <- Some o;
+            changed_at.(b) <- !stamp;
+            changed := true
+          end
+        end;
+        incr stamp)
       rpo
   done;
-  (if Sys.getenv_opt "NASCENT_VALIDATE_DEBUG" <> None then begin
-     Printf.eprintf "[validate] %s: sweeps=%d converged=%b\n%!" f.Func.fname
-       !sweeps (not !changed);
-     Array.iteri
-       (fun b h ->
-         if reach.(b) then
-           Printf.eprintf "  b%d: %d facts, %d conds\n%!" b
-             (CSet.cardinal h.facts) (CondSet.cardinal h.conds))
-       ins
-   end);
+  Log.debug (fun m ->
+      m "%s: sweeps=%d converged=%b skipped=%d%a" f.Func.fname !sweeps (not !changed)
+        !skipped
+        (fun ppf () ->
+          Array.iteri
+            (fun b h ->
+              if reach.(b) then
+                Fmt.pf ppf "@\n  b%d: %d facts, %d conds" b (CSet.cardinal h.facts)
+                  (CondSet.cardinal h.conds))
+            ins)
+        ());
   if !changed then Array.make n h_empty else ins
 
 (* --- the lockstep walk ---------------------------------------------- *)
@@ -500,7 +567,7 @@ let same_instr (a : instr) (b : instr) =
   | Call (n, args), Call (n', args') -> n = n' && args = args'
   | _ -> false
 
-let validate_block ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
+let validate_block memo ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
     (pb : block) : t =
   let results = ref [] in
   let record chk ok reason =
@@ -516,7 +583,7 @@ let validate_block ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
         match i with
         | Check m ->
             if dead then record m.chk true "dead-after-trap"
-            else if entails facts m.chk then record m.chk true "implied"
+            else if entails memo facts m.chk then record m.chk true "implied"
             else if
               (* a trap in this region is justified replacement for a
                  compile-time-false check *)
@@ -534,7 +601,7 @@ let validate_block ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
                   | _ -> false)
                 opt_region
             then record m.chk true "retained"
-            else if entails facts m.chk then record m.chk true "implied"
+            else if entails memo facts m.chk then record m.chk true "implied"
             else record m.chk false "guarded check lost"
         | Trap _ ->
             if not (dead || List.exists (function Trap _ -> true | _ -> false) opt_region)
@@ -550,7 +617,7 @@ let validate_block ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
         | _ -> ())
       orig_rest
   in
-  let step h i = Option.value (transfer atoms (Some h) i) ~default:h_empty in
+  let step h i = Option.value (transfer memo atoms (Some h) i) ~default:h_empty in
   let rec walk ~dead hyps orig opt =
     let orig_region, orig_rest = span is_checkish orig in
     let opt_region, opt_rest = span is_checkish opt in
@@ -559,11 +626,11 @@ let validate_block ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
        kills, and a region check that traps makes the remaining
        obligations vacuous anyway. *)
     let hyps' =
-      List.fold_left (transfer atoms) (Some hyps) opt_region
+      List.fold_left (transfer memo atoms) (Some hyps) opt_region
     in
     let dead' = dead || hyps' = None in
     let hyps' = Option.value hyps' ~default:h_empty in
-    discharge ~dead ~opt_region (close hyps') orig_region;
+    discharge ~dead ~opt_region (close memo hyps') orig_region;
     match (orig_rest, opt_rest) with
     | [], _ ->
         (* No obligations left; any trailing optimized-side
@@ -592,9 +659,9 @@ let validate_block ~fname ~atoms ~orig_vids (entry : hstate) (ob : block)
         results;
   }
 
-let func ~(original : Func.t) ~(optimized : Func.t) : t =
+let func ~memo ~(original : Func.t) ~(optimized : Func.t) : t =
   let atoms = optimized.Func.atoms in
-  let entry = entry_hyps optimized in
+  let entry = entry_hyps memo ~checks:true optimized in
   let reach = Func.reachable original in
   (* Variables the reference function mentions anywhere: assignments to
      anything else on the optimized side are compiler-materialized. *)
@@ -612,14 +679,14 @@ let func ~(original : Func.t) ~(optimized : Func.t) : t =
         let pb = Func.block optimized ob.bid in
         acc :=
           merge !acc
-            (validate_block ~fname:original.Func.fname ~atoms ~orig_vids
+            (validate_block memo ~fname:original.Func.fname ~atoms ~orig_vids
                entry.(ob.bid) ob pb))
     original;
   !acc
 
-let func_guarded ~original ~optimized : t =
+let func_guarded ~memo ~original ~optimized : t =
   let fuel = Guard.fuel ~what:budget_name ~budget:fuel_budget in
-  try Guard.with_fuel fuel (fun () -> func ~original ~optimized)
+  try Guard.with_fuel fuel (fun () -> func ~memo ~original ~optimized)
   with Guard.Fuel_exhausted w when w = budget_name ->
     let _, checks = Func.static_counts original in
     {
@@ -655,7 +722,8 @@ let program ~(original : Program.t) ~(optimized : Program.t) : t =
                   };
                 ];
             }
-      | Some opt -> merge acc (func_guarded ~original:f ~optimized:opt))
+      | Some opt ->
+          merge acc (func_guarded ~memo:(Memo.create ()) ~original:f ~optimized:opt))
     empty
     (Program.funcs_sorted original)
 
@@ -679,7 +747,8 @@ let pp ppf t =
    are reference checks). *)
 let fragile_sites (f : Func.t) : (block * int) list =
   let atoms = f.Func.atoms in
-  let entry = entry_hyps f in
+  let memo = Memo.create () in
+  let entry = entry_hyps memo ~checks:true f in
   let reach = Func.reachable f in
   let acc = ref [] in
   Func.iter_blocks
@@ -705,20 +774,20 @@ let fragile_sites (f : Func.t) : (block * int) list =
                   | Check m ->
                       let hyps = ref (Some h0) in
                       for k = j0 to j1 - 1 do
-                        if k <> j then hyps := transfer atoms !hyps instrs.(k)
+                        if k <> j then hyps := transfer memo atoms !hyps instrs.(k)
                       done;
                       (match !hyps with
-                      | Some s when not (entails (close s) m.chk) ->
+                      | Some s when not (entails memo (close memo s) m.chk) ->
                           acc := (b, j) :: !acc
                       | _ -> ())
                   | _ -> ()
                 done);
             for k = j0 to j1 - 1 do
-              h := transfer atoms !h instrs.(k)
+              h := transfer memo atoms !h instrs.(k)
             done
           end
           else begin
-            h := transfer atoms !h instrs.(!i);
+            h := transfer memo atoms !h instrs.(!i);
             incr i
           end
         done
@@ -731,10 +800,7 @@ let fragile_sites (f : Func.t) : (block * int) list =
 module Facts = struct
   type state = hstate
 
-  let ambient_entry (f : Func.t) : state array = entry_hyps ~checks:false f
-
-  let step atoms (s : state option) (i : instr) : state option =
-    transfer ~checks:false atoms s i
-
-  let proves (s : state) (goal : Check.t) : bool = entails (close s) goal
+  let ambient_entry ~memo (f : Func.t) : state array = entry_hyps memo ~checks:false f
+  let step = transfer_ambient
+  let proves ~memo (s : state) (goal : Check.t) : bool = entails memo (close memo s) goal
 end

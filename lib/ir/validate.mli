@@ -20,6 +20,39 @@
     exhaustion — is a reported failure, never an exception or a hang
     (the run is bounded by its own {!Nascent_support.Guard} budget). *)
 
+val log_src : Logs.src
+(** The ["nascent.validate"] log source: per-function fixpoint sweeps,
+    skipped block visits and entry-state sizes, at debug level. *)
+
+(** Exact entailment memo for one function's oracle queries, shared by
+    oracle elimination ({!Facts}) and the validator ({!func}).
+
+    A memo is keyed on (hypothesis set, goal) and stores only answers
+    {!Nascent_checks.Oracle.implies} actually returned, so a hit gives
+    exactly the answer a re-run would; a query cut short by an
+    exception stores nothing. Every query, hit or miss, charges one
+    ambient {!Nascent_support.Guard} tick. Create one per function and
+    never share it across functions or domains: atom keys are
+    allocated per function, and the counters are per-compile work
+    measures. *)
+module Memo : sig
+  type t
+
+  val create : unit -> t
+
+  val entails : t -> hyps:Nascent_checks.Check.t list -> Nascent_checks.Check.t -> bool
+  (** [entails m ~hyps goal] is
+      [Oracle.implies ~hyps:(List.sort_uniq Check.compare hyps) goal],
+      answered from [m] when the same hypothesis set and goal were
+      asked before. *)
+
+  val queries : t -> int
+  (** Distinct queries answered by running the oracle. *)
+
+  val hits : t -> int
+  (** Queries answered from the memo. *)
+end
+
 type site = {
   s_func : string;
   s_bid : int;  (** reference block id of the unproven site *)
@@ -38,17 +71,19 @@ val validated : t -> bool
 val empty : t
 val merge : t -> t -> t
 
-val func : original:Func.t -> optimized:Func.t -> t
+val func : memo:Memo.t -> original:Func.t -> optimized:Func.t -> t
 (** Validate one function pair (unbounded — callers wanting the fuel
-    guarantee use {!func_guarded} or {!program}). *)
+    guarantee use {!func_guarded} or {!program}). [memo] must belong to
+    this function. *)
 
-val func_guarded : original:Func.t -> optimized:Func.t -> t
+val func_guarded : memo:Memo.t -> original:Func.t -> optimized:Func.t -> t
 (** {!func} under the validator's own fuel budget; exhaustion reports a
     single "validation fuel exhausted" failure instead of raising. *)
 
 val program : original:Program.t -> optimized:Program.t -> t
 (** Validate every function of the reference program against its
-    optimized counterpart (missing counterparts are failures). *)
+    optimized counterpart (missing counterparts are failures), each on
+    a fresh memo. *)
 
 val pp_site : site Fmt.t
 val pp : t Fmt.t
@@ -72,7 +107,7 @@ val fragile_sites : Func.t -> (Types.block * int) list
 module Facts : sig
   type state
 
-  val ambient_entry : Func.t -> state array
+  val ambient_entry : memo:Memo.t -> Func.t -> state array
   (** Per-block entry states from the validator's forward data-flow
       (semantic meet, affine loop-invariant candidates, widening) with
       check contributions disabled. *)
@@ -81,7 +116,7 @@ module Facts : sig
   (** Ambient transfer of one instruction; [None] = dead past an
       unconditional trap. *)
 
-  val proves : state -> Nascent_checks.Check.t -> bool
+  val proves : memo:Memo.t -> state -> Nascent_checks.Check.t -> bool
   (** Sound, fuel-bounded entailment: [true] means every execution
       reaching a point with this state satisfies the constraint. *)
 end

@@ -83,7 +83,9 @@ let test_eliminate_counts () =
   let copy = Ir.Transform.copy_program prog in
   let f = Ir.Program.main_func copy in
   let ctx = Checkctx.create_prx ~mode:Universe.All_implications f in
-  let st = Core.Eliminate.run ctx in
+  let st = Core.Eliminate.new_stats () in
+  Core.Eliminate.redundancy_elimination (Analyses.make_env ctx) st;
+  Core.Eliminate.compile_time_checks f st;
   (* duplicate pair eliminated *)
   Alcotest.(check int) "redundant deleted" 2 st.Core.Eliminate.redundant_deleted;
   let _, remaining = Ir.Func.static_counts f in

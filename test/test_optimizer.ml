@@ -506,6 +506,112 @@ let test_mcm_trap_preserved () =
   trap_expected o1;
   trap_expected o2
 
+(* --- the per-function entailment memo ---------------------------------- *)
+
+module Validate = Ir.Validate
+
+let certificate_fields (v : Validate.t option) =
+  match v with
+  | None -> Alcotest.fail "oracle compile carries no certificate"
+  | Some v -> (v.Validate.total_sites, v.Validate.proven_sites, v.Validate.failures)
+
+(* The certificate an oracle compile returns — validated on the memo
+   oracle-elim already filled — equals a standalone validation of the
+   same reference/optimized pair on a fresh memo. The reference is the
+   function entering the pipeline proper: the lowered function, after
+   the INX rewrite under INX. *)
+let test_shared_memo_certificate_matches_fresh () =
+  List.iter
+    (fun (b : Nascent_benchmarks.Suite.benchmark) ->
+      let ir = ir_of_source b.source in
+      List.iter
+        (fun scheme ->
+          List.iter
+            (fun kind ->
+              let cell =
+                Fmt.str "%s %s %s" b.name (Config.scheme_name scheme) (Config.kind_name kind)
+              in
+              let opt, stats =
+                Core.Optimizer.optimize ~config:(Config.make ~scheme ~kind ~oracle:true ()) ir
+              in
+              let fresh =
+                List.fold_left
+                  (fun acc (f : Ir.Func.t) ->
+                    let reference = Ir.Transform.copy_func f in
+                    if kind = Config.INX then ignore (Core.Induction_rewrite.run reference);
+                    Validate.merge acc
+                      (Validate.func_guarded ~memo:(Validate.Memo.create ())
+                         ~original:reference
+                         ~optimized:(Ir.Program.find_exn opt f.Ir.Func.fname)))
+                  Validate.empty (Ir.Program.funcs_sorted ir)
+              in
+              let total, proven, failures = certificate_fields stats.Core.Optimizer.validation in
+              Alcotest.(check int) (cell ^ ": total sites") fresh.Validate.total_sites total;
+              Alcotest.(check int) (cell ^ ": proven sites") fresh.Validate.proven_sites proven;
+              Alcotest.(check bool) (cell ^ ": same failures") true
+                (fresh.Validate.failures = failures);
+              Alcotest.(check bool) (cell ^ ": memo hit") true
+                (stats.Core.Optimizer.oracle_memo_hits > 0))
+            [ Config.PRX; Config.INX ])
+        [ Config.LLS; Config.ALL ])
+    Nascent_benchmarks.Suite.all
+
+(* Two functions with the same body shape allocate the same atom keys
+   and ask the same-looking entailment queries. Compiled together, each
+   gets exactly the IR, certificate and oracle work it gets compiled
+   alone — a memo shared across functions would show up as fewer
+   oracle runs for the pair. *)
+let test_memo_is_per_function () =
+  let body name =
+    Fmt.str
+      "subroutine %s(a, n)\n\
+       integer n, i, k\n\
+       integer a(1:n)\n\
+       k = n\n\
+       do i = 1, n\n\
+       a(i) = k\n\
+       a(k) = i\n\
+       if i < k then\n\
+       a(i + 1) = 0\n\
+       endif\n\
+       enddo\n\
+       end\n"
+      name
+  in
+  let src =
+    "program twin\ninteger a(1:20)\ncall p(a, 20)\ncall q(a, 10)\nend\n" ^ body "p" ^ body "q"
+  in
+  let ir = ir_of_source src in
+  let config = Config.make ~scheme:Config.ALL ~oracle:true () in
+  let opt, together = Core.Optimizer.optimize ~config ir in
+  let alone =
+    List.map
+      (fun (f : Ir.Func.t) ->
+        let g = Ir.Transform.copy_func f in
+        let st = Core.Optimizer.optimize_func config g in
+        Alcotest.(check string) (f.Ir.Func.fname ^ ": same IR")
+          (Ir.Printer.func_to_string g)
+          (Ir.Printer.func_to_string (Ir.Program.find_exn opt f.Ir.Func.fname));
+        (f.Ir.Func.fname, st))
+      (Ir.Program.funcs_sorted ir)
+  in
+  let summed =
+    List.fold_left Core.Optimizer.add (Core.Optimizer.empty_stats config) (List.map snd alone)
+  in
+  let total, proven, failures = certificate_fields together.Core.Optimizer.validation in
+  Alcotest.(check (triple int int bool)) "same certificate"
+    (let t, p, fs = certificate_fields summed.Core.Optimizer.validation in
+     (t, p, fs = []))
+    (total, proven, failures = []);
+  Alcotest.(check bool) "validated" true (failures = []);
+  Alcotest.(check int) "oracle runs per function" summed.Core.Optimizer.oracle_queries
+    together.Core.Optimizer.oracle_queries;
+  Alcotest.(check int) "memo hits per function" summed.Core.Optimizer.oracle_memo_hits
+    together.Core.Optimizer.oracle_memo_hits;
+  let queries name = (List.assoc name alone).Core.Optimizer.oracle_queries in
+  Alcotest.(check int) "the twins ask the oracle alike" (queries "p") (queries "q");
+  Alcotest.(check bool) "the twins ask the oracle" true (queries "p" > 0)
+
 let suite =
   [
     tc "fig1: naive has 4 checks" test_fig1_naive_has_4_checks;
@@ -537,4 +643,7 @@ let suite =
     tc "compile-time false becomes trap" test_compile_time_false_becomes_trap;
     tc "all schemes sound on mixed program" test_all_schemes_sound_on_mixed_program;
     tc "LLS beats NI (~98%)" test_lls_beats_ni;
+    tc "oracle: shared memo certificate equals fresh validation"
+      test_shared_memo_certificate_matches_fresh;
+    tc "oracle: entailment memo is per function" test_memo_is_per_function;
   ]

@@ -130,6 +130,66 @@ let prop_proves_farkas_combinations =
     (QCheck.make ~print:print_query gen) (fun (hyps, goal) ->
       Oracle.implies ~hyps goal)
 
+(* --- the validator's entailment memo ------------------------------------ *)
+
+(* A sequence of queries drawn with repeats from a small pool, each
+   repeat possibly spelling its hypotheses in reverse order: answered
+   through one memo, every answer equals a fresh oracle run on the
+   canonical hypothesis list, and the oracle runs once per distinct
+   (hypothesis set, goal) key. *)
+let prop_memo_exact =
+  let gen =
+    G.(
+      list_size (int_range 1 6) (pair (list_size (int_range 0 4) gen_check) gen_check)
+      >>= fun pool ->
+      list_size (int_range 1 24) (pair (int_bound (List.length pool - 1)) bool)
+      >|= fun seq -> (pool, seq))
+  in
+  let print (pool, seq) =
+    Printf.sprintf "pool=[%s] seq=[%s]"
+      (String.concat " | " (List.map print_query pool))
+      (String.concat "; "
+         (List.map (fun (i, r) -> Printf.sprintf "%d%s" i (if r then "r" else "")) seq))
+  in
+  QCheck.Test.make ~name:"oracle: memoized entailment equals fresh runs" ~count:300
+    (QCheck.make ~print gen) (fun (pool, seq) ->
+      let memo = Nascent_ir.Validate.Memo.create () in
+      let keys = Hashtbl.create 8 in
+      List.for_all
+        (fun (i, reversed) ->
+          let hyps, goal = List.nth pool i in
+          let canon = List.sort_uniq Check.compare hyps in
+          Hashtbl.replace keys (List.map pp_check canon, pp_check goal) ();
+          let hyps = if reversed then List.rev hyps else hyps in
+          Nascent_ir.Validate.Memo.entails memo ~hyps goal
+          = Oracle.implies ~hyps:canon goal)
+        seq
+      && Nascent_ir.Validate.Memo.queries memo = Hashtbl.length keys
+      && Nascent_ir.Validate.Memo.queries memo + Nascent_ir.Validate.Memo.hits memo
+         = List.length seq)
+
+(* A query cut short by ambient fuel exhaustion inside the oracle leaves
+   no entry: the next identical query runs the oracle and gets its real
+   answer. Budget 2 lets the memo's own tick pass and exhausts on the
+   oracle's first. *)
+let test_memo_skips_raised_queries () =
+  let module Memo = Nascent_ir.Validate.Memo in
+  let module Guard = Nascent_support.Guard in
+  let memo = Memo.create () in
+  (* x - y <= 0 /\ y <= 5 |- x <= 5: cross-family, so the oracle eliminates *)
+  let hyps = [ mk [ 1; -1; 0 ] 0; mk [ 0; 1; 0 ] 5 ] and goal = mk [ 1; 0; 0 ] 5 in
+  (match
+     Guard.with_fuel (Guard.fuel ~what:"test" ~budget:2) (fun () ->
+         Memo.entails memo ~hyps goal)
+   with
+  | _ -> Alcotest.fail "expected ambient fuel exhaustion"
+  | exception Guard.Fuel_exhausted _ -> ());
+  Alcotest.(check int) "raised query not stored" 0 (Memo.queries memo);
+  Alcotest.(check bool) "proved on retry" true (Memo.entails memo ~hyps goal);
+  Alcotest.(check bool) "answered from memo" true (Memo.entails memo ~hyps goal);
+  Alcotest.(check (pair int int)) "one run, one hit" (1, 1)
+    (Memo.queries memo, Memo.hits memo)
+
 (* --- deterministic cross-family cases --------------------------------- *)
 
 let upper a k = Check.make (Linexpr.of_atom a) k
@@ -216,6 +276,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_unsat_sound;
     QCheck_alcotest.to_alcotest prop_covers_within_family;
     QCheck_alcotest.to_alcotest prop_proves_farkas_combinations;
+    QCheck_alcotest.to_alcotest prop_memo_exact;
+    tc "oracle: memo skips raised queries" test_memo_skips_raised_queries;
     tc "oracle: transitive chain" test_transitive_chain;
     tc "oracle: gcd tightening" test_gcd_tightening;
     tc "oracle: cross-family scaling" test_scaling;

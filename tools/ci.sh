@@ -12,6 +12,24 @@ cd "$(dirname "$0")/.."
 
 dune build @ci
 
+# --- oracle memo smoke ------------------------------------------------
+# arc2d ALL is the costliest --oracle compile: it must carry its
+# certificate, and the per-function entailment memo must answer some of
+# its oracle queries.
+
+OJSON="${TMPDIR:-/tmp}/nascent-ci-$$.oracle.json"
+rc=0
+./_build/default/bin/nascentc.exe dump arc2d --oracle -s ALL \
+    --stats-json "$OJSON" >/dev/null || rc=$?
+[ "$rc" -eq 0 ] || { echo "FAIL: oracle dump of arc2d exited $rc, want 0" >&2; exit 1; }
+grep -q '"validated": true' "$OJSON" \
+    || { echo "FAIL: arc2d oracle stats lack \"validated\": true" >&2; exit 1; }
+HITS=$(sed -n 's/.*"oracle_memo_hits": \([0-9][0-9]*\).*/\1/p' "$OJSON")
+[ "${HITS:-0}" -gt 0 ] \
+    || { echo "FAIL: arc2d oracle_memo_hits is ${HITS:-missing}, want > 0" >&2; exit 1; }
+rm -f "$OJSON"
+echo "oracle memo smoke OK: arc2d ALL validated, $HITS memo hits"
+
 # --- compile-service smoke --------------------------------------------
 
 SOCK="${TMPDIR:-/tmp}/nascent-ci-$$.sock"
