@@ -55,7 +55,8 @@ val mentions_key : t -> int -> bool
     of the check data-flow analyses.) *)
 
 val coeff_of : t -> Atom.t -> int
-(** Coefficient of an atom, 0 if absent. *)
+(** Coefficient of an atom, 0 if absent. Atoms match by key, as in
+    {!Atom.equal}; the display name is not compared. *)
 
 val coeff_of_key : t -> int -> int
 

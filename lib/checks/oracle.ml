@@ -52,43 +52,70 @@ let tighten (c : Check.t) : Check.t =
    [None] = still symbolic. *)
 let decided (c : Check.t) = Check.compile_time_value c
 
+module Family = Hashtbl.Make (struct
+  type t = Linexpr.t
+
+  let equal = Linexpr.equal
+  let hash = Linexpr.hash
+end)
+
 (* Keep only the strongest constraint per family. Bounds growth and
-   makes the pos*neg pairing below cheaper. *)
+   makes the pos*neg pairing below cheaper. Families come out in
+   first-occurrence order, so a round is a function of its input list
+   alone. *)
 let dedup (cs : Check.t list) : Check.t list =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      let key = Check.family_key c in
-      match Hashtbl.find_opt tbl key with
-      | Some k when k <= Check.constant c -> ()
-      | _ -> Hashtbl.replace tbl key (Check.constant c))
-    cs;
-  Hashtbl.fold (fun lhs k acc -> Check.make lhs k :: acc) tbl []
+  let tbl = Family.create 16 in
+  let firsts =
+    List.fold_left
+      (fun acc c ->
+        let k = Check.constant c in
+        match Family.find_opt tbl (Check.family_key c) with
+        | Some best ->
+            if k < !best then best := k;
+            acc
+        | None ->
+            let best = ref k in
+            Family.add tbl (Check.family_key c) best;
+            (c, best) :: acc)
+      [] cs
+  in
+  List.rev_map
+    (fun (c, best) -> if !best = Check.constant c then c else Check.make (Check.lhs c) !best)
+    firsts
 
 exception Refuted
 exception Unknown
 
+type score = { key : int; mutable pos : int; mutable neg : int }
+
 (* Pick the variable with the fewest pos*neg pairings (the classic FM
-   heuristic); atoms are identified by key. *)
+   heuristic), ties going to the lowest atom key. A system has a
+   handful of distinct atoms, so a list scan beats a hash table. *)
 let pick_var (cs : Check.t list) : int option =
-  let score = Hashtbl.create 16 in
+  let scores = ref [] in
   List.iter
     (fun c ->
       List.iter
         (fun (a, coeff) ->
           let k = Atom.key a in
-          let pos, neg = Option.value (Hashtbl.find_opt score k) ~default:(0, 0) in
-          let entry = if coeff > 0 then (pos + 1, neg) else (pos, neg + 1) in
-          Hashtbl.replace score k entry)
+          let s =
+            match List.find_opt (fun s -> s.key = k) !scores with
+            | Some s -> s
+            | None ->
+                let s = { key = k; pos = 0; neg = 0 } in
+                scores := s :: !scores;
+                s
+          in
+          if coeff > 0 then s.pos <- s.pos + 1 else s.neg <- s.neg + 1)
         (Linexpr.terms (Check.lhs c)))
     cs;
-  Hashtbl.fold
-    (fun k (pos, neg) best ->
-      let cost = pos * neg in
+  List.fold_left
+    (fun best s ->
+      let cost = s.pos * s.neg in
       match best with
-      | Some (_, best_cost) when best_cost <= cost -> best
-      | _ -> Some (k, cost))
-    score None
+      | Some (k, c) when c < cost || (c = cost && k < s.key) -> best
+      | _ -> Some (s.key, cost))
+    None !scores
   |> Option.map fst
 
 (* Eliminate atom key [x]: pair every constraint where x has positive

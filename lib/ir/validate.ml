@@ -409,7 +409,13 @@ let entry_hyps memo ~checks (f : Func.t) : hstate array =
       f.Func.loops;
     tbl
   in
-  let in_of b =
+  (* Meet candidates the widening bound kept out of the proofs. *)
+  let pruned = ref 0 in
+  (* [bound] is the block's previous entry facts once the caller widens
+     (it intersects the result with them): a candidate outside it cannot
+     survive, so it is not proven. Exact, because
+     {c in U | proven c} /\ prev = {c in U /\ prev | proven c}. *)
+  let in_of ~bound b =
     if b = f.Func.entry then h_empty
     else
       let paths =
@@ -440,6 +446,13 @@ let entry_hyps memo ~checks (f : Func.t) : hstate array =
                 CSet.mem c facts || entails memo (Lazy.force closed) c)
               judged
           in
+          let admissible c =
+            match bound with
+            | Some prev when not (CSet.mem c prev) ->
+                incr pruned;
+                false
+            | _ -> true
+          in
           let base =
             match paths with
             | [ h ] -> h
@@ -456,12 +469,15 @@ let entry_hyps memo ~checks (f : Func.t) : hstate array =
                     (fun acc h -> CSet.union acc h.facts)
                     h0.facts rest
                 in
-                { facts = CSet.filter proven_on_all candidates; conds }
+                {
+                  facts = CSet.filter (fun c -> admissible c && proven_on_all c) candidates;
+                  conds;
+                }
             | [] -> assert false
           in
           List.fold_left
             (fun st c ->
-              if CSet.mem c st.facts || not (proven_on_all c) then st
+              if CSet.mem c st.facts || not (admissible c && proven_on_all c) then st
               else { st with facts = CSet.add c st.facts })
             base
             (Option.value (Hashtbl.find_opt inv_candidates b) ~default:[])
@@ -510,14 +526,13 @@ let entry_hyps memo ~checks (f : Func.t) : hstate array =
         if not (stale b) then incr skipped
         else begin
           visited_at.(b) <- !stamp;
-          let i = in_of b in
+          let bound = if !sweeps <= 2 then None else Some ins.(b).facts in
+          let i = in_of ~bound b in
           let i =
-            if !sweeps <= 2 then i
-            else
-              {
-                facts = CSet.inter i.facts ins.(b).facts;
-                conds = CondSet.inter i.conds ins.(b).conds;
-              }
+            match bound with
+            | None -> i
+            | Some prev ->
+                { facts = CSet.inter i.facts prev; conds = CondSet.inter i.conds ins.(b).conds }
           in
           ins.(b) <- i;
           let o = List.fold_left transfer (Some i) (Func.block f b).instrs in
@@ -531,8 +546,8 @@ let entry_hyps memo ~checks (f : Func.t) : hstate array =
       rpo
   done;
   Log.debug (fun m ->
-      m "%s: sweeps=%d converged=%b skipped=%d%a" f.Func.fname !sweeps (not !changed)
-        !skipped
+      m "%s: sweeps=%d converged=%b skipped=%d pruned=%d%a" f.Func.fname !sweeps
+        (not !changed) !skipped !pruned
         (fun ppf () ->
           Array.iteri
             (fun b h ->

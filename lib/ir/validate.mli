@@ -22,7 +22,8 @@
 
 val log_src : Logs.src
 (** The ["nascent.validate"] log source: per-function fixpoint sweeps,
-    skipped block visits and entry-state sizes, at debug level. *)
+    skipped block visits, meet candidates the widening bound kept out
+    of the proofs, and entry-state sizes, at debug level. *)
 
 (** Exact entailment memo for one function's oracle queries, shared by
     oracle elimination ({!Facts}) and the validator ({!func}).

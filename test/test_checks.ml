@@ -40,6 +40,19 @@ let test_linexpr_scale_subst () =
   Alcotest.(check int) "x gone" 0 (Linexpr.coeff_of t x);
   Alcotest.(check int) "y = 1 + 2" 3 (Linexpr.coeff_of t y)
 
+(* Atoms are identified by key: a same-key atom under another display
+   name (an SSA spelling, say) finds the term, and [split_atom] /
+   [subst] remove it rather than reporting coefficient 0. *)
+let test_linexpr_same_key_other_name () =
+  let x' = atom 0 "x_1" in
+  let a = Linexpr.of_terms [ (x, 2); (y, 1) ] in
+  Alcotest.(check int) "coeff by key" 2 (Linexpr.coeff_of a x');
+  let c, rest = Linexpr.split_atom a x' in
+  Alcotest.(check int) "split coeff" 2 c;
+  Alcotest.(check bool) "split rest" true (Linexpr.equal rest (Linexpr.of_atom y));
+  let t = Linexpr.subst a x' (Linexpr.of_atom z) in
+  Alcotest.(check bool) "subst" true (Linexpr.equal t (Linexpr.of_terms [ (y, 1); (z, 2) ]))
+
 let test_linexpr_gcd () =
   Alcotest.(check int) "gcd" 6 (Linexpr.coeff_gcd (Linexpr.of_terms [ (x, 6); (y, -12) ]));
   Alcotest.(check int) "gcd zero" 0 (Linexpr.coeff_gcd Linexpr.zero)
@@ -258,6 +271,7 @@ let suite =
     tc "linexpr: add/cancel" test_linexpr_add_cancel;
     tc "linexpr: canonical order" test_linexpr_canonical_order;
     tc "linexpr: scale/subst" test_linexpr_scale_subst;
+    tc "linexpr: same key, other name" test_linexpr_same_key_other_name;
     tc "linexpr: gcd" test_linexpr_gcd;
     QCheck_alcotest.to_alcotest prop_add_commutative;
     QCheck_alcotest.to_alcotest prop_of_terms_idempotent;

@@ -556,6 +556,72 @@ let test_shared_memo_certificate_matches_fresh () =
         [ Config.LLS; Config.ALL ])
     Nascent_benchmarks.Suite.all
 
+(* The oracle path's results, pinned: (benchmark, scheme, kind,
+   static checks after, redundant deleted, proven sites, total sites)
+   for every benchmark under LLS and ALL, PRX and INX, with the oracle
+   on. A speed-up of the oracle or the validator must leave every cell
+   exactly as it is. *)
+let oracle_cells =
+  [
+    ("vortex", Config.LLS, Config.PRX, 0, 42, 146, 146);
+    ("vortex", Config.LLS, Config.INX, 0, 42, 146, 146);
+    ("vortex", Config.ALL, Config.PRX, 0, 50, 146, 146);
+    ("vortex", Config.ALL, Config.INX, 0, 50, 146, 146);
+    ("arc2d", Config.LLS, Config.PRX, 4, 79, 236, 236);
+    ("arc2d", Config.LLS, Config.INX, 2, 75, 236, 236);
+    ("arc2d", Config.ALL, Config.PRX, 4, 80, 236, 236);
+    ("arc2d", Config.ALL, Config.INX, 2, 76, 236, 236);
+    ("bdna", Config.LLS, Config.PRX, 0, 27, 212, 212);
+    ("bdna", Config.LLS, Config.INX, 0, 27, 212, 212);
+    ("bdna", Config.ALL, Config.PRX, 0, 29, 212, 212);
+    ("bdna", Config.ALL, Config.INX, 0, 29, 212, 212);
+    ("dyfesm", Config.LLS, Config.PRX, 7, 31, 96, 96);
+    ("dyfesm", Config.LLS, Config.INX, 7, 31, 96, 96);
+    ("dyfesm", Config.ALL, Config.PRX, 7, 36, 96, 96);
+    ("dyfesm", Config.ALL, Config.INX, 7, 36, 96, 96);
+    ("mdg", Config.LLS, Config.PRX, 0, 58, 112, 112);
+    ("mdg", Config.LLS, Config.INX, 0, 57, 112, 112);
+    ("mdg", Config.ALL, Config.PRX, 0, 65, 112, 112);
+    ("mdg", Config.ALL, Config.INX, 0, 64, 112, 112);
+    ("qcd", Config.LLS, Config.PRX, 4, 30, 88, 88);
+    ("qcd", Config.LLS, Config.INX, 4, 30, 88, 88);
+    ("qcd", Config.ALL, Config.PRX, 4, 36, 88, 88);
+    ("qcd", Config.ALL, Config.INX, 4, 36, 88, 88);
+    ("spec77", Config.LLS, Config.PRX, 11, 39, 90, 90);
+    ("spec77", Config.LLS, Config.INX, 10, 23, 90, 90);
+    ("spec77", Config.ALL, Config.PRX, 11, 40, 90, 90);
+    ("spec77", Config.ALL, Config.INX, 10, 24, 90, 90);
+    ("trfd", Config.LLS, Config.PRX, 14, 24, 62, 62);
+    ("trfd", Config.LLS, Config.INX, 12, 19, 62, 62);
+    ("trfd", Config.ALL, Config.PRX, 14, 27, 62, 62);
+    ("trfd", Config.ALL, Config.INX, 12, 24, 62, 62);
+    ("linpackd", Config.LLS, Config.PRX, 12, 79, 192, 192);
+    ("linpackd", Config.LLS, Config.INX, 12, 78, 192, 192);
+    ("linpackd", Config.ALL, Config.PRX, 12, 89, 192, 192);
+    ("linpackd", Config.ALL, Config.INX, 12, 90, 192, 192);
+    ("simple", Config.LLS, Config.PRX, 6, 41, 248, 248);
+    ("simple", Config.LLS, Config.INX, 3, 38, 248, 248);
+    ("simple", Config.ALL, Config.PRX, 6, 42, 248, 248);
+    ("simple", Config.ALL, Config.INX, 3, 39, 248, 248);
+  ]
+
+let test_oracle_results_pinned () =
+  List.iter
+    (fun (name, scheme, kind, after, deleted, proven, total) ->
+      let b = Option.get (Nascent_benchmarks.Suite.find name) in
+      let _, stats =
+        Core.Optimizer.optimize
+          ~config:(Config.make ~scheme ~kind ~oracle:true ())
+          (ir_of_source b.source)
+      in
+      let cell = Fmt.str "%s %s %s" name (Config.scheme_name scheme) (Config.kind_name kind) in
+      let t, p, failures = certificate_fields stats.Core.Optimizer.validation in
+      Alcotest.(check (list int)) (cell ^ ": after, deleted, proven, total")
+        [ after; deleted; proven; total ]
+        [ stats.Core.Optimizer.static_checks_after; stats.Core.Optimizer.redundant_deleted; p; t ];
+      Alcotest.(check bool) (cell ^ ": validated") true (failures = []))
+    oracle_cells
+
 (* Two functions with the same body shape allocate the same atom keys
    and ask the same-looking entailment queries. Compiled together, each
    gets exactly the IR, certificate and oracle work it gets compiled
@@ -646,4 +712,5 @@ let suite =
     tc "oracle: shared memo certificate equals fresh validation"
       test_shared_memo_certificate_matches_fresh;
     tc "oracle: entailment memo is per function" test_memo_is_per_function;
+    tc "oracle: results pinned on every benchmark" test_oracle_results_pinned;
   ]

@@ -88,6 +88,28 @@ let prop_unsat_sound =
        (G.list_size (G.int_range 1 5) gen_check))
     (fun cs -> (not (Oracle.unsat cs)) || box_unsat cs)
 
+(* --- order independence -------------------------------------------------- *)
+
+(* The answer is a function of the hypothesis set, not of its spelling
+   order: each elimination round keeps families in first-occurrence
+   order and picks the cheapest variable with ties going to the lowest
+   atom key, so the same set meets the same elimination sequence. *)
+let prop_order_independent =
+  let gen =
+    G.(
+      pair (list_size (int_range 0 5) gen_check) gen_check >>= fun (hyps, goal) ->
+      pair (shuffle_l hyps) (shuffle_l (goal :: hyps)) >|= fun (perm, system) ->
+      (hyps, goal, perm, system))
+  in
+  let print (hyps, goal, perm, _) =
+    Printf.sprintf "%s perm=[%s]" (print_query (hyps, goal))
+      (String.concat "; " (List.map pp_check perm))
+  in
+  QCheck.Test.make ~name:"oracle: answers ignore hypothesis order" ~count:500
+    (QCheck.make ~print gen) (fun (hyps, goal, perm, system) ->
+      Oracle.implies ~hyps goal = Oracle.implies ~hyps:perm goal
+      && Oracle.unsat (goal :: hyps) = Oracle.unsat system)
+
 (* --- coverage: oracle >= CIG ------------------------------------------ *)
 
 (* The CIG's universally sound rule is the within-family constant
@@ -274,6 +296,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_implies_sound;
     QCheck_alcotest.to_alcotest prop_unsat_sound;
+    QCheck_alcotest.to_alcotest prop_order_independent;
     QCheck_alcotest.to_alcotest prop_covers_within_family;
     QCheck_alcotest.to_alcotest prop_proves_farkas_combinations;
     QCheck_alcotest.to_alcotest prop_memo_exact;

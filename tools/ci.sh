@@ -14,8 +14,11 @@ dune build @ci
 
 # --- oracle memo smoke ------------------------------------------------
 # arc2d ALL is the costliest --oracle compile: it must carry its
-# certificate, and the per-function entailment memo must answer some of
-# its oracle queries.
+# certificate, the per-function entailment memo must answer some of
+# its oracle queries, and the distinct Fourier–Motzkin runs must stay
+# at or under the measured ceiling. The ceiling is a deterministic work
+# counter, not wall time: raise it only with an explained increase.
+ORACLE_QUERIES_MAX=777
 
 OJSON="${TMPDIR:-/tmp}/nascent-ci-$$.oracle.json"
 rc=0
@@ -27,8 +30,11 @@ grep -q '"validated": true' "$OJSON" \
 HITS=$(sed -n 's/.*"oracle_memo_hits": \([0-9][0-9]*\).*/\1/p' "$OJSON")
 [ "${HITS:-0}" -gt 0 ] \
     || { echo "FAIL: arc2d oracle_memo_hits is ${HITS:-missing}, want > 0" >&2; exit 1; }
+QUERIES=$(sed -n 's/.*"oracle_queries": \([0-9][0-9]*\).*/\1/p' "$OJSON")
+[ -n "$QUERIES" ] && [ "$QUERIES" -le "$ORACLE_QUERIES_MAX" ] \
+    || { echo "FAIL: arc2d oracle_queries is ${QUERIES:-missing}, want <= $ORACLE_QUERIES_MAX" >&2; exit 1; }
 rm -f "$OJSON"
-echo "oracle memo smoke OK: arc2d ALL validated, $HITS memo hits"
+echo "oracle memo smoke OK: arc2d ALL validated, $HITS memo hits, $QUERIES oracle queries (<= $ORACLE_QUERIES_MAX)"
 
 # --- compile-service smoke --------------------------------------------
 
