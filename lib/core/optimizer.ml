@@ -13,7 +13,8 @@
    Observability: every step is timed with a monotonic clock and
    recorded as a {!pass_stat}; with [Config.verify] set, a snapshot is
    taken before each step and {!Nascent_ir.Verify} checks the result
-   against the step's differential rules. Per-pass progress is traced
+   against the step's differential rules; the verifier's share of each
+   step's time is recorded apart. Per-pass progress is traced
    on the "nascent.optimizer" log source at debug level. *)
 
 module Ir = Nascent_ir
@@ -28,6 +29,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 type pass_stat = {
   pass : string;
   pass_time_s : float;
+  pass_verify_s : float; (* the part of [pass_time_s] spent in Verify *)
   pass_checks_before : int;
   pass_checks_after : int;
 }
@@ -72,6 +74,7 @@ type stats = {
   incidents : incident list; (* rolled-back passes, pipeline order *)
   faults_injected : int; (* corruptions Mutate actually applied/triggered *)
   elapsed_s : float; (* monotonic optimization time, Table 2/3's Range column *)
+  verify_s : float; (* the part of [elapsed_s] spent in Verify, input check included *)
   oracle_queries : int; (* entailment queries the oracle ran (oracle-elim + validate) *)
   oracle_memo_hits : int; (* entailment queries answered from the memo *)
   validation : Ir.Validate.t option;
@@ -97,6 +100,7 @@ let empty_stats config =
     incidents = [];
     faults_injected = 0;
     elapsed_s = 0.0;
+    verify_s = 0.0;
     oracle_queries = 0;
     oracle_memo_hits = 0;
     validation = None;
@@ -119,6 +123,7 @@ let merge_passes (a : pass_stat list) (b : pass_stat list) : pass_stat list =
               {
                 q with
                 pass_time_s = q.pass_time_s +. p.pass_time_s;
+                pass_verify_s = q.pass_verify_s +. p.pass_verify_s;
                 pass_checks_before = q.pass_checks_before + p.pass_checks_before;
                 pass_checks_after = q.pass_checks_after + p.pass_checks_after;
               }
@@ -145,6 +150,7 @@ let add a b =
     incidents = a.incidents @ b.incidents;
     faults_injected = a.faults_injected + b.faults_injected;
     elapsed_s = a.elapsed_s +. b.elapsed_s;
+    verify_s = a.verify_s +. b.verify_s;
     oracle_queries = a.oracle_queries + b.oracle_queries;
     oracle_memo_hits = a.oracle_memo_hits + b.oracle_memo_hits;
     validation =
@@ -168,9 +174,18 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
   (* Fault injection is only meaningful under the detection oracle. *)
   let verify = config.Config.verify || fault <> None in
   let _, checks_before = Ir.Func.static_counts f in
+  (* Verifier time, kept apart from pass work; a rejection's time counts
+     too, since the rolled-back attempt paid for it. *)
+  let verify_s = ref 0.0 in
+  let timed_verify ?before pass =
+    let t = Mclock.counter () in
+    Fun.protect
+      ~finally:(fun () -> verify_s := !verify_s +. Mclock.elapsed_s t)
+      (fun () -> Ir.Verify.func_exn ~pass ?before f)
+  in
   (* The input is verified outside the guard: a broken lowered function
      has no earlier safe state to roll back to, so it still raises. *)
-  if verify then Ir.Verify.func_exn ~pass:Ir.Verify.Lowered f;
+  if verify then timed_verify Ir.Verify.Lowered;
   let passes = ref [] in
   let incidents = ref [] in
   let faults_injected = ref 0 in
@@ -187,6 +202,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
     let before = Ir.Transform.copy_func f in
     let _, cb = Ir.Func.static_counts f in
     let t = Mclock.counter () in
+    let verify_before = !verify_s in
     let outcome =
       try
         let r =
@@ -208,7 +224,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
               r)
         in
         (match vpass with
-        | Some pass when verify -> Ir.Verify.func_exn ~pass ~before f
+        | Some pass when verify -> timed_verify ~before pass
         | _ -> ());
         Ok r
       with
@@ -219,12 +235,21 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
       | e -> Error (Pass_exception, Printexc.to_string e)
     in
     let dt = Mclock.elapsed_s t in
+    let record ca =
+      passes :=
+        {
+          pass = name;
+          pass_time_s = dt;
+          pass_verify_s = !verify_s -. verify_before;
+          pass_checks_before = cb;
+          pass_checks_after = ca;
+        }
+        :: !passes
+    in
     match outcome with
     | Ok r ->
         let _, ca = Ir.Func.static_counts f in
-        passes :=
-          { pass = name; pass_time_s = dt; pass_checks_before = cb; pass_checks_after = ca }
-          :: !passes;
+        record ca;
         Log.debug (fun m ->
             m "%s: %-12s checks %3d -> %3d  %8.3f ms%s" f.Ir.Func.fname name cb ca
               (1000.0 *. dt)
@@ -243,9 +268,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
           :: !incidents;
         (* The rolled-back attempt still consumed time; account for it
            with an unchanged check count (the rollback's net effect). *)
-        passes :=
-          { pass = name; pass_time_s = dt; pass_checks_before = cb; pass_checks_after = cb }
-          :: !passes;
+        record cb;
         Log.warn (fun m ->
             m "%s: %-12s ROLLED BACK (%s): %s" f.Ir.Func.fname name (cause_name cause)
               detail);
@@ -396,6 +419,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
           {
             pass = "validate";
             pass_time_s = dt;
+            pass_verify_s = 0.0;
             pass_checks_before = checks_after;
             pass_checks_after = checks_after;
           }
@@ -415,6 +439,7 @@ let optimize_func (config : Config.t) (f : Ir.Func.t) : stats =
       incidents = List.rev !incidents;
       faults_injected = !faults_injected;
       elapsed_s = Mclock.elapsed_s t0;
+      verify_s = !verify_s;
       oracle_queries = Option.fold ~none:0 ~some:(fun (_, m) -> Ir.Validate.Memo.queries m) oracle;
       oracle_memo_hits = Option.fold ~none:0 ~some:(fun (_, m) -> Ir.Validate.Memo.hits m) oracle;
       validation;
@@ -500,14 +525,15 @@ let stats_to_json (s : stats) : string =
   pf "  \"oracle_queries\": %d,\n" s.oracle_queries;
   pf "  \"oracle_memo_hits\": %d,\n" s.oracle_memo_hits;
   pf "  \"elapsed_s\": %.9f,\n" s.elapsed_s;
+  pf "  \"verify_s\": %.9f,\n" s.verify_s;
   pf "  \"passes\": [";
   List.iteri
     (fun i p ->
       if i > 0 then pf ",";
       pf
-        "\n    {\"pass\": %S, \"time_s\": %.9f, \"checks_before\": %d, \
-         \"checks_after\": %d}"
-        p.pass p.pass_time_s p.pass_checks_before p.pass_checks_after)
+        "\n    {\"pass\": %S, \"time_s\": %.9f, \"verify_s\": %.9f, \
+         \"checks_before\": %d, \"checks_after\": %d}"
+        p.pass p.pass_time_s p.pass_verify_s p.pass_checks_before p.pass_checks_after)
     s.passes;
   pf "\n  ],\n";
   pf "  \"faults_injected\": %d,\n" s.faults_injected;

@@ -42,6 +42,9 @@ val log_src : Logs.src
 type pass_stat = {
   pass : string;  (** "context", "strengthen", "hoist", "eliminate", ... *)
   pass_time_s : float;  (** monotonic; summed across functions by {!add} *)
+  pass_verify_s : float;
+      (** the part of [pass_time_s] spent in {!Nascent_ir.Verify.func_exn}
+          checking this pass's output; [0.0] with verification off *)
   pass_checks_before : int;
   pass_checks_after : int;
 }
@@ -89,6 +92,9 @@ type stats = {
           triggered; [0] in every fault-free compile *)
   elapsed_s : float;
       (** monotonic optimization time — Table 2/3's "Range" column *)
+  verify_s : float;
+      (** the part of [elapsed_s] spent in {!Nascent_ir.Verify}: every
+          pass's [pass_verify_s] plus the input ([Lowered]) check *)
   oracle_queries : int;
       (** entailment queries the oracle ran for oracle-elim and the
           validator (distinct per function); [0] without

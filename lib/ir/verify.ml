@@ -119,19 +119,19 @@ let dominates (idom : int array) a b =
 
 let check_cfg (f : Func.t) add =
   let n = Func.num_blocks f in
-  if n = 0 then add Cfg f.Func.fname "function has no blocks"
+  if n = 0 then add Cfg (lazy f.Func.fname) "function has no blocks"
   else if f.Func.entry < 0 || f.Func.entry >= n then
-    add Cfg f.Func.fname (Fmt.str "entry block %d out of range" f.Func.entry)
+    add Cfg (lazy f.Func.fname) (Fmt.str "entry block %d out of range" f.Func.entry)
   else
     for i = 0 to n - 1 do
       let b = Func.block f i in
       if b.bid <> i then
-        add Cfg (Fmt.str "block %d" i) (Fmt.str "carries id %d" b.bid);
+        add Cfg (lazy (Fmt.str "block %d" i)) (Fmt.str "carries id %d" b.bid);
       List.iter
         (fun s ->
           if s < 0 || s >= n then
             add Cfg
-              (Fmt.str "block %d" i)
+              (lazy (Fmt.str "block %d" i))
               (Fmt.str "terminator target %d out of range [0,%d)" s n))
         (Func.succs_of_term b.term)
     done
@@ -190,7 +190,7 @@ let check_checks (f : Func.t) add =
       if reach.(b.bid) then
         List.iter
           (fun i ->
-            let where = Fmt.str "block %d: %a" b.bid Printer.pp_instr i in
+            let where = lazy (Fmt.str "block %d: %a" b.bid Printer.pp_instr i) in
             match i with
             | Check m -> check_meta where m
             | Cond_check (g, m) ->
@@ -224,7 +224,7 @@ let check_loops (f : Func.t) (idom : int array) add =
     (fun meta ->
       match meta with
       | Ldo d ->
-          let where = Fmt.str "do-loop@%d" d.d_header in
+          let where = lazy (Fmt.str "do-loop@%d" d.d_header) in
           if not (in_range [ d.d_preheader; d.d_header; d.d_body_entry; d.d_latch; d.d_exit ])
           then add Loop_structure where "loop metadata references out-of-range block"
           else begin
@@ -232,7 +232,7 @@ let check_loops (f : Func.t) (idom : int array) add =
             edge_to where ~src:d.d_latch ~dst:d.d_header "latch must close the loop"
           end
       | Lwhile w ->
-          let where = Fmt.str "while-loop@%d" w.w_header in
+          let where = lazy (Fmt.str "while-loop@%d" w.w_header) in
           if not (in_range [ w.w_preheader; w.w_header; w.w_body_entry; w.w_exit ]) then
             add Loop_structure where "loop metadata references out-of-range block"
           else check_shape where ~preheader:w.w_preheader ~header:w.w_header)
@@ -249,18 +249,33 @@ let instrs_of (f : Func.t) : instr list =
   Func.iter_blocks (fun b -> acc := List.rev_append b.instrs !acc) f;
   !acc
 
+let block_instrs (f : Func.t) bid =
+  if bid < Func.num_blocks f then (Func.block f bid).instrs else []
+
+(* Linear in the common case: a block whose list the pass left alone
+   ([==]) contributes nothing, and an instruction is looked up first in
+   the same block of the other side, the whole function only on a miss.
+   Exact, since [memq i same || memq i all = memq i all] when
+   [same ⊆ all]. *)
 let diff ~(before : Func.t) (f : Func.t) =
-  let old_instrs = instrs_of before in
-  let inserted = ref [] in
-  Func.iter_blocks
-    (fun b ->
-      List.iter
-        (fun i -> if not (List.memq i old_instrs) then inserted := (b.bid, i) :: !inserted)
-        b.instrs)
-    f;
-  let new_instrs = instrs_of f in
-  let removed = List.filter (fun i -> not (List.memq i new_instrs)) old_instrs in
-  (List.rev !inserted, removed)
+  let scan ~(from_ : Func.t) ~(other : Func.t) ~on_missing =
+    let other_all = lazy (instrs_of other) in
+    Func.iter_blocks
+      (fun b ->
+        let same = block_instrs other b.bid in
+        if b.instrs != same then
+          List.iter
+            (fun i ->
+              if not (List.memq i same || List.memq i (Lazy.force other_all)) then
+                on_missing b.bid i)
+            b.instrs)
+      from_
+  in
+  let inserted = ref [] and removed = ref [] in
+  scan ~from_:f ~other:before ~on_missing:(fun bid i -> inserted := (bid, i) :: !inserted);
+  (* consing in block order yields [instrs_of before]'s (reversed) order *)
+  scan ~from_:before ~other:f ~on_missing:(fun _ i -> removed := i :: !removed);
+  (List.rev !inserted, !removed)
 
 let is_check = function Check _ | Cond_check _ -> true | _ -> false
 
@@ -369,7 +384,9 @@ let ant_solve (f : Func.t) ~is_inserted : ant_state option array * ant_state opt
 (* ------------------------------------------------------------------ *)
 (* Per-pass differential rules.                                        *)
 
-let instr_where bid i = Fmt.str "block %d: inserted %a" bid Printer.pp_instr i
+let instr_where bid i = lazy (Fmt.str "block %d: inserted %a" bid Printer.pp_instr i)
+
+let removed_where i = lazy (Fmt.str "removed %a" Printer.pp_instr i)
 
 (* Every inserted plain check must be anticipatable at its insertion
    point, counting only checks the pass did not itself insert. *)
@@ -498,9 +515,7 @@ let check_hoist (f : Func.t) (idom : int array) ~inserted ~removed add =
       match i with
       | Check _ -> ()
       | i ->
-          add Insertion
-            (Fmt.str "removed %a" Printer.pp_instr i)
-            "hoisting pass removed a non-check instruction")
+          add Insertion (removed_where i) "hoisting pass removed a non-check instruction")
     removed
 
 let check_diff (f : Func.t) (idom : int array) ~(before : Func.t) ~pass add =
@@ -509,15 +524,14 @@ let check_diff (f : Func.t) (idom : int array) ~(before : Func.t) ~pass add =
   let require_count_preserved () =
     let cb = counts before and ca = counts f in
     if cb <> ca then
-      add Insertion f.Func.fname
+      add Insertion (lazy f.Func.fname)
         (Fmt.str "%s must preserve the check count (%d -> %d)" (pass_name pass) cb ca)
   in
   let require_removed_checks () =
     List.iter
       (fun i ->
         if not (is_check i) then
-          add Insertion
-            (Fmt.str "removed %a" Printer.pp_instr i)
+          add Insertion (removed_where i)
             (Fmt.str "%s removed a non-check instruction" (pass_name pass)))
       removed
   in
@@ -597,7 +611,11 @@ let check_diff (f : Func.t) (idom : int array) ~(before : Func.t) ~pass add =
 
 let func ?(pass = Lowered) ?before (f : Func.t) : violation list =
   let vs = ref [] in
-  let add rule where what = vs := { rule; where; what } :: !vs in
+  (* [where] is a pretty-printed instruction for most rules: forced
+     only for a violation, so a clean run formats nothing *)
+  let add rule (where : string Lazy.t) what =
+    vs := { rule; where = Lazy.force where; what } :: !vs
+  in
   check_cfg f add;
   (* A broken CFG makes preds/dominators meaningless; report it alone. *)
   if !vs <> [] then List.rev !vs

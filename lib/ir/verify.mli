@@ -52,6 +52,15 @@ val func : ?pass:pass -> ?before:Func.t -> Func.t -> violation list
 val func_exn : ?pass:pass -> ?before:Func.t -> Func.t -> unit
 (** Like {!func} but raises {!Invalid_ir} on the first report. *)
 
+val diff : before:Func.t -> Func.t -> (int * Types.instr) list * Types.instr list
+(** [diff ~before f] is [(inserted, removed)], by physical identity
+    ([==]): [inserted] pairs each instruction of [f] found nowhere in
+    [before] with its block id, in block then instruction order;
+    [removed] lists the instructions of [before] found nowhere in [f],
+    in reverse block then instruction order. An instruction moved
+    between blocks is neither. The differential rules read the pass's
+    changes from it. *)
+
 val program : ?pass:pass -> Program.t -> violation list
 (** Structural verification of every function, violations prefixed with
     the function name. *)

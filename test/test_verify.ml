@@ -92,15 +92,19 @@ let check_clean name vs =
   | [] -> ()
   | vs -> Alcotest.failf "%s: %a" name (Fmt.list Verify.pp_violation) vs
 
+(* Each seeded corruption returns the violations the verifier reports
+   for it: the rejection tests below check their rule, the pinned
+   diagnostics test their exact text. *)
+
 (* class 1: CFG corruption — terminator target out of range *)
-let test_rejects_bad_terminator () =
+let dangling_terminator () =
   let f = Ir.Program.main_func (ir_of_source loop_src) in
   check_clean "initially clean" (Verify.func f);
   (Ir.Func.block f f.Ir.Func.entry).term <- Goto 9999;
-  check_rejected "dangling goto" Verify.Cfg (Verify.func f)
+  Verify.func f
 
 (* class 2: check corruption — an atom the function never interned *)
-let test_rejects_ghost_atom () =
+let ghost_atom () =
   let f = Ir.Program.main_func (ir_of_source loop_src) in
   let ghost = Atom.make ~key:99999 ~name:"ghost" in
   let m =
@@ -113,10 +117,10 @@ let test_rejects_ghost_atom () =
   in
   let b = Ir.Func.block f f.Ir.Func.entry in
   b.instrs <- Check m :: b.instrs;
-  check_rejected "ghost atom" Verify.Check_form (Verify.func f)
+  Verify.func f
 
 (* class 2b: check corruption — dimension beyond the declared rank *)
-let test_rejects_bad_dimension () =
+let bad_dimension () =
   let f = Ir.Program.main_func (ir_of_source loop_src) in
   let corrupted = ref false in
   Ir.Func.iter_blocks
@@ -132,10 +136,10 @@ let test_rejects_bad_dimension () =
           b.instrs)
     f;
   Alcotest.(check bool) "found a check to corrupt" true !corrupted;
-  check_rejected "rank overflow" Verify.Check_form (Verify.func f)
+  Verify.func f
 
 (* class 3: loop corruption — preheader metadata pointing elsewhere *)
-let test_rejects_stale_preheader () =
+let stale_preheader () =
   let f = Ir.Program.main_func (ir_of_source loop_src) in
   let saw_do = ref false in
   f.Ir.Func.loops <-
@@ -147,11 +151,11 @@ let test_rejects_stale_preheader () =
         | m -> m)
       f.Ir.Func.loops;
   Alcotest.(check bool) "program has a do loop" true !saw_do;
-  check_rejected "stale preheader" Verify.Loop_structure (Verify.func f)
+  Verify.func f
 
 (* class 4: unsafe insertion — a check placed above the definition of
    its symbol (the paper's anticipatability safety rule) *)
-let test_rejects_unsafe_insertion () =
+let unsafe_insertion () =
   let f = Ir.Program.main_func (ir_of_source straight_src) in
   let before = Ir.Transform.copy_func f in
   let entry = Ir.Func.block f f.Ir.Func.entry in
@@ -165,8 +169,22 @@ let test_rejects_unsafe_insertion () =
   (* a physically fresh copy of an existing check, hoisted above the
      definition of k it guards *)
   entry.instrs <- Check meta :: entry.instrs;
-  check_rejected "check above def" Verify.Insertion
-    (Verify.func ~pass:Verify.Code_motion ~before f)
+  Verify.func ~pass:Verify.Code_motion ~before f
+
+let test_rejects_bad_terminator () =
+  check_rejected "dangling goto" Verify.Cfg (dangling_terminator ())
+
+let test_rejects_ghost_atom () =
+  check_rejected "ghost atom" Verify.Check_form (ghost_atom ())
+
+let test_rejects_bad_dimension () =
+  check_rejected "rank overflow" Verify.Check_form (bad_dimension ())
+
+let test_rejects_stale_preheader () =
+  check_rejected "stale preheader" Verify.Loop_structure (stale_preheader ())
+
+let test_rejects_unsafe_insertion () =
+  check_rejected "check above def" Verify.Insertion (unsafe_insertion ())
 
 (* positive control for class 4: inserting the same check below the
    definition — where the original makes it anticipatable — is fine *)
@@ -186,7 +204,7 @@ let test_accepts_safe_insertion () =
     (Verify.func ~pass:Verify.Code_motion ~before f)
 
 (* a strengthening that *weakens* (larger constant) must be rejected *)
-let test_rejects_weakening () =
+let weakening () =
   let f = Ir.Program.main_func (ir_of_source loop_src) in
   let before = Ir.Transform.copy_func f in
   let weakened = ref false in
@@ -208,8 +226,114 @@ let test_rejects_weakening () =
           b.instrs)
     f;
   Alcotest.(check bool) "found a check to weaken" true !weakened;
-  check_rejected "weakened check" Verify.Insertion
-    (Verify.func ~pass:Verify.Strengthen ~before f)
+  Verify.func ~pass:Verify.Strengthen ~before f
+
+let test_rejects_weakening () =
+  check_rejected "weakened check" Verify.Insertion (weakening ())
+
+(* hoisting rules: a check inserted outside any preheader, and a
+   non-check instruction removed, both reported *)
+let bad_hoist () =
+  let f = Ir.Program.main_func (ir_of_source loop_src) in
+  let before = Ir.Transform.copy_func f in
+  let preheaders =
+    List.map
+      (function Ldo d -> d.d_preheader | Lwhile w -> w.w_preheader)
+      f.Ir.Func.loops
+  in
+  let inserted = ref false and removed = ref false in
+  Ir.Func.iter_blocks
+    (fun b ->
+      if not (List.mem b.bid preheaders) then
+        b.instrs <-
+          List.concat_map
+            (fun i ->
+              match i with
+              | Check m when not !inserted ->
+                  inserted := true;
+                  [ Check m; i ]
+              | Assign _ when not !removed ->
+                  removed := true;
+                  []
+              | i -> [ i ])
+            b.instrs)
+    f;
+  Alcotest.(check bool) "inserted and removed" true (!inserted && !removed);
+  Verify.func ~pass:Verify.Hoist ~before f
+
+(* --- pinned diagnostics ------------------------------------------------ *)
+
+(* Verifier messages reach users through incident records and
+   [--stats-json], so their text is pinned: every fault class on three
+   benchmarks under CS/SE/ALL (seed 1), plus each seeded corruption
+   above, must report exactly what verify_diagnostics.expected records.
+   One line per incident or violation; "-" marks a cell with none. The
+   file is [diagnostic_lines ()] printed one per line; regenerate it
+   only for a deliberate change of message. *)
+let diagnostic_lines () =
+  let fault_cells =
+    List.concat_map
+      (fun cls ->
+        List.concat_map
+          (fun name ->
+            let b = List.find (fun (b : B.benchmark) -> b.B.name = name) B.all in
+            let ir = ir_of_source b.B.source in
+            List.concat_map
+              (fun scheme ->
+                let config =
+                  Config.make ~scheme ~fault:{ Ir.Mutate.cls; seed = 1 } ()
+                in
+                let _, st = Core.Optimizer.optimize ~config ir in
+                let key =
+                  Fmt.str "%s %s %s" (Ir.Mutate.cls_name cls) name
+                    (Config.scheme_name scheme)
+                in
+                match st.Core.Optimizer.incidents with
+                | [] -> [ key ^ " -" ]
+                | is ->
+                    List.map
+                      (fun (i : Core.Optimizer.incident) ->
+                        Fmt.str "%s %s %S" key i.inc_pass i.inc_detail)
+                      is)
+              [ Config.CS; Config.SE; Config.ALL ])
+          [ "vortex"; "trfd"; "arc2d" ])
+      Ir.Mutate.all_classes
+  in
+  let seeded =
+    List.concat_map
+      (fun (name, corrupt) ->
+        match corrupt () with
+        | [] -> [ name ^ " -" ]
+        | vs ->
+            List.map
+              (fun v -> Fmt.str "%s %S" name (Fmt.str "%a" Verify.pp_violation v))
+              vs)
+      [
+        ("dangling-terminator", dangling_terminator);
+        ("ghost-atom", ghost_atom);
+        ("bad-dimension", bad_dimension);
+        ("stale-preheader", stale_preheader);
+        ("unsafe-insertion", unsafe_insertion);
+        ("weakening", weakening);
+        ("bad-hoist", bad_hoist);
+      ]
+  in
+  fault_cells @ seeded
+
+let test_pinned_diagnostics () =
+  (* [dune runtest] runs in the test directory, [dune exec] at the root *)
+  let file = "verify_diagnostics.expected" in
+  let file = if Sys.file_exists file then file else Filename.concat "test" file in
+  let expected =
+    In_channel.with_open_bin file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  let got = diagnostic_lines () in
+  Alcotest.(check int) "diagnostic count" (List.length expected) (List.length got);
+  List.iteri
+    (fun n (e, g) -> Alcotest.(check string) (Fmt.str "line %d" (n + 1)) e g)
+    (List.combine expected got)
 
 (* --- qcheck: corruption never slips through ---------------------------- *)
 
@@ -256,6 +380,90 @@ let prop_corruption_rejected =
       in
       (not applied) || Verify.func f <> [])
 
+(* --- qcheck: the linear diff equals the quadratic one -------------------- *)
+
+(* The diff the verifier used before it went per-block: membership of
+   every instruction tested against the whole other function. Kept as
+   the reference model. *)
+let reference_diff ~(before : Ir.Func.t) (f : Ir.Func.t) =
+  let instrs_of g =
+    let acc = ref [] in
+    Ir.Func.iter_blocks (fun b -> acc := List.rev_append b.instrs !acc) g;
+    !acc
+  in
+  let old_instrs = instrs_of before in
+  let inserted = ref [] in
+  Ir.Func.iter_blocks
+    (fun b ->
+      List.iter
+        (fun i -> if not (List.memq i old_instrs) then inserted := (b.bid, i) :: !inserted)
+        b.instrs)
+    f;
+  let new_instrs = instrs_of f in
+  let removed = List.filter (fun i -> not (List.memq i new_instrs)) old_instrs in
+  (List.rev !inserted, removed)
+
+let bench_funcs =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun (b : B.benchmark) -> Ir.Program.funcs_sorted (ir_of_source b.B.source))
+          B.all))
+
+(* One random edit of the kinds passes make. Fresh instructions are
+   allocated here, so they are physically new. *)
+let random_edit rng (f : Ir.Func.t) =
+  let pick n = Random.State.int rng n in
+  let blk () = Ir.Func.block f (pick (Ir.Func.num_blocks f)) in
+  let insert_at (b : block) x =
+    let k = pick (List.length b.instrs + 1) in
+    b.instrs <- List.filteri (fun j _ -> j < k) b.instrs @ (x :: List.filteri (fun j _ -> j >= k) b.instrs)
+  in
+  let take (b : block) =
+    match b.instrs with
+    | [] -> None
+    | l ->
+        let k = pick (List.length l) in
+        b.instrs <- List.filteri (fun j _ -> j <> k) l;
+        Some (List.nth l k)
+  in
+  let fresh_check () =
+    match Ir.Func.all_check_metas f with
+    | [] -> Print (Cint (pick 100))
+    | ms -> Check (List.nth ms (pick (List.length ms)))
+  in
+  match pick 6 with
+  | 0 -> () (* keep every list *)
+  | 1 ->
+      let b = blk () in
+      b.instrs <- List.map Fun.id b.instrs (* an equal list, new cells *)
+  | 2 -> ignore (take (blk ()))
+  | 3 -> insert_at (blk ()) (fresh_check ())
+  | 4 -> Option.iter (insert_at (blk ())) (take (blk ())) (* move *)
+  | _ ->
+      let moved = take (blk ()) in
+      let nb = Ir.Func.new_block f in
+      nb.instrs <- Option.to_list moved @ [ fresh_check () ]
+
+let same_diff (ins1, rem1) (ins2, rem2) =
+  List.length ins1 = List.length ins2
+  && List.for_all2 (fun (b1, i1) (b2, i2) -> b1 = b2 && i1 == i2) ins1 ins2
+  && List.length rem1 = List.length rem2
+  && List.for_all2 ( == ) rem1 rem2
+
+let prop_diff_matches_reference =
+  QCheck.Test.make ~name:"linear diff equals quadratic reference" ~count:300
+    (QCheck.make QCheck.Gen.(triple nat (int_bound 6) nat))
+    (fun (fi, edits, seed) ->
+      let funcs = Lazy.force bench_funcs in
+      let f = Ir.Transform.copy_func funcs.(fi mod Array.length funcs) in
+      let before = Ir.Transform.copy_func f in
+      let rng = Random.State.make [| seed |] in
+      for _ = 1 to edits do
+        random_edit rng f
+      done;
+      same_diff (Verify.diff ~before f) (reference_diff ~before f))
+
 let suite =
   [
     tc "matrix: every config accepted" test_matrix_accepted;
@@ -267,5 +475,7 @@ let suite =
     tc "rejects check above its def" test_rejects_unsafe_insertion;
     tc "accepts safe duplicate insertion" test_accepts_safe_insertion;
     tc "rejects weakening strengthen" test_rejects_weakening;
+    tc "pinned diagnostics" test_pinned_diagnostics;
     QCheck_alcotest.to_alcotest prop_corruption_rejected;
+    QCheck_alcotest.to_alcotest prop_diff_matches_reference;
   ]

@@ -33,8 +33,16 @@ HITS=$(sed -n 's/.*"oracle_memo_hits": \([0-9][0-9]*\).*/\1/p' "$OJSON")
 QUERIES=$(sed -n 's/.*"oracle_queries": \([0-9][0-9]*\).*/\1/p' "$OJSON")
 [ -n "$QUERIES" ] && [ "$QUERIES" -le "$ORACLE_QUERIES_MAX" ] \
     || { echo "FAIL: arc2d oracle_queries is ${QUERIES:-missing}, want <= $ORACLE_QUERIES_MAX" >&2; exit 1; }
+# Verifier time is reported apart from pass work: the top level and
+# every pass record carry "verify_s". A structural check, not a timing gate.
+grep -q '^  "verify_s": [0-9]' "$OJSON" \
+    || { echo "FAIL: arc2d oracle stats lack a top-level \"verify_s\"" >&2; exit 1; }
+NPASS=$(grep -c '"time_s": ' "$OJSON" || true)
+NVPASS=$(grep -c '"time_s": [0-9.]*, "verify_s": [0-9]' "$OJSON" || true)
+[ "$NPASS" -gt 0 ] && [ "$NVPASS" -eq "$NPASS" ] \
+    || { echo "FAIL: $NVPASS of $NPASS arc2d pass records carry \"verify_s\"" >&2; exit 1; }
 rm -f "$OJSON"
-echo "oracle memo smoke OK: arc2d ALL validated, $HITS memo hits, $QUERIES oracle queries (<= $ORACLE_QUERIES_MAX)"
+echo "oracle memo smoke OK: arc2d ALL validated, $HITS memo hits, $QUERIES oracle queries (<= $ORACLE_QUERIES_MAX), verify_s on all $NPASS pass records"
 
 # --- compile-service smoke --------------------------------------------
 
