@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the
    paper's evaluation (section 4) on the 10-program MiniF suite, and
-   times the optimizer configurations with Bechamel (one Test.make
-   group per table).
+   gates their determinism. Timing of the compiler and the serving
+   stack lives in perfbench/, the repository's one measuring
+   instrument.
 
    Table generation fans the (benchmark × config) matrix over the
    domain pool (NASCENT_JOBS, default: host core count) and serves
@@ -9,15 +10,12 @@
    hit/miss counts are reported after each table.
 
    Usage:
-     dune exec bench/main.exe               # everything
+     dune exec bench/main.exe               # tables + figures
      dune exec bench/main.exe -- table1     # just Table 1
-     dune exec bench/main.exe -- table2 | table3 | figures | canon | bech
-     dune exec bench/main.exe -- tables     # tables only, no Bechamel (CI mode)
+     dune exec bench/main.exe -- table2 | table3 | extensions | canon | figures
+     dune exec bench/main.exe -- tables     # Tables 1-3 + extensions + canon
      dune exec bench/main.exe -- check-determinism  # serial vs parallel vs warm cache + oracle differential
      dune exec bench/main.exe -- oracle-diff  # --oracle vs baseline observable-identity matrix
-     dune exec bench/main.exe -- speedup    # serial vs parallel wall-clock, JSON record
-     dune exec bench/main.exe -- service    # warm-daemon latency vs cold nascentc startup
-     dune exec bench/main.exe -- load       # open-loop RPS/latency ladder, 1 vs 3 shards + chaos
 *)
 
 module E = Nascent_harness.Experiments
@@ -30,7 +28,6 @@ module Run = Nascent_interp.Run
 module B = Nascent_benchmarks.Suite
 module Pool = Nascent_support.Pool
 module Memo = Nascent_support.Memo
-module Mclock = Nascent_support.Mclock
 
 let chars = lazy (E.characterize_all ())
 
@@ -94,7 +91,7 @@ let run_extensions () =
   Report.extensions chars tables;
   incident_report "extensions" tables
 
-(* Table-only mode: everything except the Bechamel timers, for CI. *)
+(* Every table, no figures: the CI mode. *)
 let run_tables () =
   run_table1 ();
   run_table2 ();
@@ -171,27 +168,12 @@ let run_oracle_differential () =
 
 (* --- determinism gate: serial vs parallel vs warm cache --------------- *)
 
-(* The full table suite minus timing columns: what must be invariant
-   across pool sizes. Timings (range/compile seconds) legitimately
-   differ between cold runs; everything else diverging means a pool or
-   cache bug, so CI fails on it. *)
-let structural_row (r : E.row) =
-  ( r.E.label,
-    Config.cache_key r.E.config,
-    List.map
-      (fun (c : E.cell) ->
-        (c.E.dyn_checks_after, c.E.pct_eliminated, List.map fst c.E.pass_times,
-         c.E.incidents))
-      r.E.cells )
-
-let structural tables =
-  List.map
-    (fun (kind, rows) -> (Config.kind_name kind, List.map structural_row rows))
-    (List.concat tables)
-
+(* The full table suite. [E.structural] drops its timing columns —
+   what must be invariant across pool sizes — so CI fails on any other
+   divergence. *)
 let full_suite () =
   let chars = E.characterize_all () in
-  (chars, [ E.table2 chars; E.table3 chars; E.extensions chars ])
+  [ E.table2 chars; E.table3 chars; E.extensions chars ]
 
 let run_check_determinism () =
   let par_jobs = max 2 (Pool.default_jobs ()) in
@@ -199,13 +181,13 @@ let run_check_determinism () =
   Printf.printf "determinism gate: serial vs jobs=%d vs warm cache\n%!" par_jobs;
   E.reset_cell_cache ();
   Pool.set_default_jobs 1;
-  let _, serial = full_suite () in
+  let serial = full_suite () in
   let serial_misses = (E.cell_cache_stats ()).Memo.misses in
   E.reset_cell_cache ();
   Pool.set_default_jobs par_jobs;
-  let _, parallel = full_suite () in
+  let parallel = full_suite () in
   let parallel_misses = (E.cell_cache_stats ()).Memo.misses in
-  if structural serial <> structural parallel then begin
+  if E.structural serial <> E.structural parallel then begin
     Printf.eprintf "FAIL: parallel tables diverge from the serial run\n%!";
     exit 1
   end;
@@ -213,7 +195,7 @@ let run_check_determinism () =
      re-optimizations) and the rows must be byte-identical, timing
      columns included. *)
   let before = E.cell_cache_stats () in
-  let _, warm = full_suite () in
+  let warm = full_suite () in
   let after = E.cell_cache_stats () in
   if after.Memo.misses <> before.Memo.misses then begin
     Printf.eprintf "FAIL: warm cache rerun re-optimized %d cell(s)\n%!"
@@ -231,817 +213,6 @@ let run_check_determinism () =
     serial_misses parallel_misses;
   run_oracle_differential ()
 
-(* --- speedup baseline: serial vs parallel wall-clock ------------------ *)
-
-let speedup_json_path = "BENCH_parallel.json"
-
-let run_speedup () =
-  let par_jobs = max 2 (Pool.default_jobs ()) in
-  (* Cold-cache wall clock of the full table suite (characterization +
-     Tables 2/3 + extensions), monotonic clock. *)
-  let timed jobs =
-    E.reset_cell_cache ();
-    Pool.set_default_jobs jobs;
-    let t0 = Mclock.counter () in
-    ignore (full_suite ());
-    Mclock.elapsed_s t0
-  in
-  let serial_s = timed 1 in
-  let cells = (E.cell_cache_stats ()).Memo.misses in
-  let parallel_s = timed par_jobs in
-  let warm_t0 = Mclock.counter () in
-  ignore (full_suite ());
-  let warm_s = Mclock.elapsed_s warm_t0 in
-  let speedup = serial_s /. parallel_s in
-  Printf.printf
-    "\nspeedup (full table suite, %d cells): serial %.3fs, jobs=%d %.3fs (%.2fx), \
-     warm cache %.3fs (%.1fx)\n\
-     %!"
-    cells serial_s par_jobs parallel_s speedup warm_s (serial_s /. warm_s);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"suite\": \"characterize + table2 + table3 + extensions\",\n\
-      \  \"cells\": %d,\n\
-      \  \"host_cores\": %d,\n\
-      \  \"jobs\": %d,\n\
-      \  \"serial_s\": %.6f,\n\
-      \  \"parallel_s\": %.6f,\n\
-      \  \"speedup\": %.4f,\n\
-      \  \"warm_cache_s\": %.6f,\n\
-      \  \"warm_speedup\": %.4f\n\
-       }\n"
-      cells
-      (Domain.recommended_domain_count ())
-      par_jobs serial_s parallel_s speedup warm_s (serial_s /. warm_s)
-  in
-  (* temp + rename: a partially-written record never survives a crash *)
-  Nascent_support.Guard.write_atomic ~path:speedup_json_path json;
-  Printf.printf "wrote %s\n%!" speedup_json_path
-
-(* --- service: warm-daemon latency vs cold CLI startup ------------------ *)
-
-let service_json_path = "BENCH_service.json"
-
-(* The case for compile-as-a-service, quantified: per-request latency
-   against a warm daemon (socket round-trip + cache hit) vs a cold
-   nascentc process per compile (exec + runtime init + lower +
-   optimize). The daemon runs in-process on a thread — same code path
-   as nascentd — and the cold runs exec the real binary. *)
-let run_service () =
-  let module Server = Nascent_support.Server in
-  let module Service = Nascent_harness.Service in
-  let module Json = Nascent_support.Json in
-  let module Client = Nascent_support.Server.Client in
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nascent-bench-%d.sock" (Unix.getpid ()))
-  in
-  let cfg = { (Server.default_config ~socket_path:path) with Server.jobs = 2 } in
-  let srv = Server.create cfg (Service.handler (Service.create ())) in
-  let runner = Thread.create (fun () -> Server.run srv) () in
-  let rec wait n =
-    if n = 0 then failwith "bench service: daemon socket never appeared"
-    else if not (Sys.file_exists path) then begin
-      Unix.sleepf 0.01;
-      wait (n - 1)
-    end
-  in
-  wait 500;
-  let req =
-    Json.Obj
-      [
-        ("op", Json.Str "compile");
-        ("benchmark", Json.Str "vortex");
-        ("scheme", Json.Str "LLS");
-      ]
-  in
-  let warm_n = 50 in
-  let warm =
-    Client.with_conn path (fun conn ->
-        let once () =
-          let t0 = Mclock.counter () in
-          (match Client.request conn req with
-          | Ok _ -> ()
-          | Error e -> failwith ("bench service: warm request failed: " ^ e));
-          Mclock.elapsed_s t0
-        in
-        ignore (once ()) (* populate the result cache *);
-        List.init warm_n (fun _ -> once ()))
-  in
-  (* Recovery/watchdog counters (journal replay, restarts, memory
-     shedding) from the status op — all zero in this in-process run,
-     printed so the bench output shape matches a production daemon's. *)
-  let robustness_line =
-    Client.with_conn path (fun conn ->
-        match Client.request conn (Json.Obj [ ("op", Json.Str "status") ]) with
-        | Error e -> "status unavailable: " ^ e
-        | Ok st ->
-            let geti name =
-              match Json.member name st with Some (Json.Int n) -> n | _ -> 0
-            in
-            Printf.sprintf
-              "replayed=%d journal_quarantined=%d restarts=%d mem_shed=%d"
-              (geti "replayed")
-              (geti "journal_quarantined")
-              (geti "restarts") (geti "mem_shed"))
-  in
-  Server.stop srv;
-  Thread.join runner;
-  (* Cold baseline: one full nascentc process per compile. The binary
-     lives next to this one in _build/default. *)
-  let nascentc =
-    Filename.concat
-      (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
-      "nascentc.exe"
-  in
-  let cold_n = 5 in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
-  let cold =
-    List.init cold_n (fun _ ->
-        let t0 = Mclock.counter () in
-        let pid =
-          Unix.create_process nascentc
-            [| nascentc; "dump"; "vortex"; "-s"; "LLS" |]
-            Unix.stdin devnull devnull
-        in
-        (match Unix.waitpid [] pid with
-        | _, Unix.WEXITED 0 -> ()
-        | _ -> failwith "bench service: cold nascentc run failed");
-        Mclock.elapsed_s t0)
-  in
-  Unix.close devnull;
-  let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-  let minimum xs = List.fold_left Float.min infinity xs in
-  let warm_mean = mean warm and warm_min = minimum warm in
-  let cold_mean = mean cold and cold_min = minimum cold in
-  Printf.printf
-    "\nservice latency (vortex, LLS): warm daemon %.3f ms/request (min %.3f, %d \
-     requests), cold nascentc %.1f ms/compile (min %.1f, %d runs) — %.0fx\n\
-     %!"
-    (1000.0 *. warm_mean) (1000.0 *. warm_min) warm_n (1000.0 *. cold_mean)
-    (1000.0 *. cold_min) cold_n (cold_mean /. warm_mean);
-  Printf.printf "service robustness counters: %s\n%!" robustness_line;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"request\": \"compile vortex LLS\",\n\
-      \  \"warm_requests\": %d,\n\
-      \  \"warm_mean_s\": %.6f,\n\
-      \  \"warm_min_s\": %.6f,\n\
-      \  \"cold_runs\": %d,\n\
-      \  \"cold_mean_s\": %.6f,\n\
-      \  \"cold_min_s\": %.6f,\n\
-      \  \"warm_over_cold_speedup\": %.4f\n\
-       }\n"
-      warm_n warm_mean warm_min cold_n cold_mean cold_min (cold_mean /. warm_mean)
-  in
-  Nascent_support.Guard.write_atomic ~path:service_json_path json;
-  Printf.printf "wrote %s\n%!" service_json_path
-
-(* --- tiers: instant floor, background upgrade, fault containment ------- *)
-
-let tiers_json_path = "BENCH_tiers.json"
-
-(* The tentpole quantified: a cold cache miss answered from the NI
-   floor must cost about as much as a warm NI hit (the acceptance bar
-   is 2x — both are one cache operation plus the round trip), the
-   background upgrade must land promptly, and a fault-injected upgrade
-   must degrade to a served floor with a recorded incident, never an
-   error or a stall. The daemon runs in-process with the background
-   lane wired exactly as nascentd wires it; floor and optimized
-   artifacts are additionally checked observably identical (same
-   trap/error under the interpreter). *)
-let run_tiers () =
-  let module Server = Nascent_support.Server in
-  let module Service = Nascent_harness.Service in
-  let module Json = Nascent_support.Json in
-  let module Client = Nascent_support.Server.Client in
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nascent-tiers-%d.sock" (Unix.getpid ()))
-  in
-  let cfg = { (Server.default_config ~socket_path:path) with Server.jobs = 2 } in
-  let service = Service.create ~breaker_threshold:3 () in
-  let srv = Server.create cfg (Service.handler service) in
-  Service.set_upgrade_submit service (Server.submit_background srv);
-  let runner = Thread.create (fun () -> Server.run srv) () in
-  let rec wait n =
-    if n = 0 then failwith "bench tiers: daemon socket never appeared"
-    else if not (Sys.file_exists path) then begin
-      Unix.sleepf 0.01;
-      wait (n - 1)
-    end
-  in
-  wait 500;
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("FAIL: " ^ m); exit 1) fmt in
-  let req ?fault ~scheme name =
-    Json.Obj
-      ([
-         ("op", Json.Str "compile");
-         ("benchmark", Json.Str name);
-         ("scheme", Json.Str scheme);
-         ("run", Json.Bool true);
-       ]
-      @ match fault with None -> [] | Some f -> [ ("fault", Json.Str f) ])
-  in
-  let exchange conn r =
-    match Client.request conn r with
-    | Ok resp -> resp
-    | Error e -> fail "request failed: %s" e
-  in
-  let timed conn r =
-    let t0 = Mclock.counter () in
-    let resp = exchange conn r in
-    (Mclock.elapsed_s t0, resp)
-  in
-  let sfield resp name =
-    match Json.str_member name resp with
-    | Some s -> s
-    | None -> fail "response lacks %s: %s" name (Json.to_string resp)
-  in
-  let median xs =
-    let a = List.sort compare xs in
-    List.nth a (List.length a / 2)
-  in
-  let names = List.map (fun b -> b.B.name) B.all in
-  let warm_reps = 20 in
-  let within, ratio =
-    Client.with_conn path @@ fun conn ->
-    (* 1. Warm the NI floor cells, then measure the warm NI hit. *)
-  List.iter (fun n -> ignore (exchange conn (req ~scheme:"NI" n))) names;
-  let warm_ni =
-    median
-      (List.concat_map
-         (fun n ->
-           List.init warm_reps (fun _ -> fst (timed conn (req ~scheme:"NI" n))))
-         names)
-  in
-  (* 2. Cold miss at the requested scheme: served from the floor. *)
-  let cold_samples =
-    List.map
-      (fun n ->
-        let dt, resp = timed conn (req ~scheme:"LLS" n) in
-        if sfield resp "tier" <> "floor" then
-          fail "%s: cold miss served tier %s, want floor" n (sfield resp "tier");
-        (n, dt, resp))
-      names
-  in
-  let cold_floor = median (List.map (fun (_, dt, _) -> dt) cold_samples) in
-  (* 3. Poll each request until the background upgrade hot-swaps it. *)
-  let time_to_optimized =
-    List.map
-      (fun (n, _, floor_resp) ->
-        let t0 = Mclock.counter () in
-        let rec poll () =
-          let resp = exchange conn (req ~scheme:"LLS" n) in
-          match sfield resp "tier" with
-          | "optimized" -> (Mclock.elapsed_s t0, resp)
-          | _ when Mclock.elapsed_s t0 > 60.0 ->
-              fail "%s: upgrade did not land within 60s" n
-          | _ ->
-              Unix.sleepf 0.005;
-              poll ()
-        in
-        let dt, opt_resp = poll () in
-        (* Floor and optimized artifacts must be observably identical:
-           fewer checks, same interpreter outcome. *)
-        let run_of resp =
-          match Json.member "run" resp with
-          | Some r -> (Json.str_member "trap" r, Json.str_member "error" r)
-          | None -> fail "%s: response lacks a run object" n
-        in
-        if run_of floor_resp <> run_of opt_resp then
-          fail "%s: floor and optimized runs diverge observably" n;
-        dt)
-      cold_samples
-  in
-  (* 4. The whole matrix upgraded: measure the warm optimized hit. *)
-  let warm_opt =
-    median
-      (List.concat_map
-         (fun n ->
-           List.init warm_reps (fun _ ->
-               let dt, resp = timed conn (req ~scheme:"LLS" n) in
-               if sfield resp "tier" <> "optimized" then
-                 fail "%s: warm request regressed to tier %s" n (sfield resp "tier");
-               dt))
-         names)
-  in
-  (* 5. Fault containment: an injected upgrade fault degrades to a
-     served floor with a recorded incident — no error, no stall. *)
-  let fresp = exchange conn (req ~scheme:"CS" ~fault:"drop-check:7" "vortex") in
-  if sfield fresp "status" = "error" then
-    fail "fault-injected request errored: %s" (Json.to_string fresp);
-  if sfield fresp "tier" <> "floor" then
-    fail "fault-injected request served tier %s, want floor" (sfield fresp "tier");
-  let status_req = Json.Obj [ ("op", Json.Str "status") ] in
-  let upgrades_failed st =
-    match Json.member "upgrades" st with
-    | Some o -> ( match Json.int_member "failed" o with Some n -> n | None -> 0)
-    | None -> 0
-  in
-  let t0 = Mclock.counter () in
-  let rec wait_failed () =
-    let st = exchange conn status_req in
-    if upgrades_failed st >= 1 then st
-    else if Mclock.elapsed_s t0 > 60.0 then
-      fail "fault-injected upgrade never recorded its failure"
-    else begin
-      Unix.sleepf 0.01;
-      wait_failed ()
-    end
-  in
-  let st = wait_failed () in
-  let fresp2 = exchange conn (req ~scheme:"CS" ~fault:"drop-check:7" "vortex") in
-  if sfield fresp2 "tier" <> "floor" then
-    fail "faulted cell upgraded to tier %s, want a kept floor" (sfield fresp2 "tier");
-  let ttodo_max = List.fold_left Float.max 0.0 time_to_optimized in
-  let ratio = cold_floor /. warm_ni in
-  let within = ratio <= 2.0 in
-  Printf.printf
-    "\ntiers (%d benchmarks): warm NI hit %.3f ms, cold-miss floor %.3f ms \
-     (%.2fx%s), time-to-optimized max %.3f s, warm optimized %.3f ms\n\
-     tiers fault containment: injected upgrade fault -> tier:floor kept, \
-     %d failed upgrade(s) recorded, no client error\n\
-     %!"
-    (List.length names) (1000.0 *. warm_ni) (1000.0 *. cold_floor) ratio
-    (if within then "" else " — OVER THE 2x BAR")
-    ttodo_max (1000.0 *. warm_opt) (upgrades_failed st);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"benchmarks\": %d,\n\
-      \  \"warm_ni_hit_ms\": %.6f,\n\
-      \  \"cold_floor_ms\": %.6f,\n\
-      \  \"floor_over_warm_ni\": %.4f,\n\
-      \  \"floor_within_2x\": %b,\n\
-      \  \"time_to_optimized_max_s\": %.6f,\n\
-      \  \"warm_optimized_ms\": %.6f,\n\
-      \  \"fault_upgrades_failed\": %d,\n\
-      \  \"fault_tier_served\": \"%s\"\n\
-       }\n"
-      (List.length names) (1000.0 *. warm_ni) (1000.0 *. cold_floor) ratio
-      within ttodo_max (1000.0 *. warm_opt) (upgrades_failed st)
-      (sfield fresp2 "tier")
-  in
-  Nascent_support.Guard.write_atomic ~path:tiers_json_path json;
-    Printf.printf "wrote %s\n%!" tiers_json_path;
-    (within, ratio)
-  in
-  Server.stop srv;
-  Thread.join runner;
-  if not within then fail "cold-miss floor %.2fx the warm NI hit (bar: 2x)" ratio
-
-(* --- load: open-loop generator over the sharded service ---------------- *)
-
-let load_json_path = "BENCH_load.json"
-
-type load_rung = {
-  offered_rps : float;
-  achieved_rps : float;
-  sent : int;
-  ok : int;
-  errors : int;
-  floor : int; (* responses served from the cold-cache NI floor tier *)
-  p50_ms : float;
-  p99_ms : float;
-  p999_ms : float;
-  elapsed_s : float;
-}
-
-(* Fault-tolerant sharded serving, quantified on the wire. An
-   open-loop generator — arrivals on a fixed schedule regardless of
-   completions, the honest way to load a service, since a closed loop
-   self-throttles into flattering latencies — drives real nascentd
-   processes over the framed TCP transport with pipelined
-   connections: one shard direct, then three shards behind the
-   consistent-hash router. Each rate rung reports p50/p99/p999
-   (completion minus scheduled arrival, so queueing and schedule slip
-   count) and how many responses came off the cold-cache NI floor
-   tier; the highest rung with zero errors and >= 90% of the offered
-   rate completed is the recorded max sustained RPS. A final chaos
-   pass kills -9 one shard at load mid-run and demands the batch
-   still complete with zero failed requests — health ejection plus
-   ring failover, measured rather than asserted.
-
-   NASCENT_LOAD_QUICK=1 shrinks the ladder for CI. *)
-let run_load () =
-  let module Json = Nascent_support.Json in
-  let module Client = Nascent_support.Server.Client in
-  let quick = Sys.getenv_opt "NASCENT_LOAD_QUICK" <> None in
-  let bindir =
-    Filename.concat
-      (Filename.dirname (Filename.dirname Sys.executable_name))
-      "bin"
-  in
-  let nascentd = Filename.concat bindir "nascentd.exe" in
-  let tmp = Filename.get_temp_dir_name () in
-  let mypid = Unix.getpid () in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
-  let children = ref [] in
-  let spawn argv =
-    let pid =
-      Unix.create_process nascentd
-        (Array.of_list (nascentd :: argv))
-        Unix.stdin devnull devnull
-    in
-    children := pid :: !children;
-    pid
-  in
-  let kill_all () =
-    List.iter (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()) !children;
-    List.iter
-      (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-      !children;
-    children := []
-  in
-  let wait_socket path =
-    let rec go n =
-      if n = 0 then failwith ("bench load: socket never appeared: " ^ path)
-      else if not (Sys.file_exists path) then begin
-        Unix.sleepf 0.05;
-        go (n - 1)
-      end
-    in
-    go 400
-  in
-  let tcp_port_of path =
-    match
-      Client.request_retry ~seed:1 path (Json.Obj [ ("op", Json.Str "status") ])
-    with
-    | Error e -> failwith ("bench load: status: " ^ e)
-    | Ok st -> (
-        match Json.int_member "tcp_port" st with
-        | Some p -> p
-        | None -> failwith "bench load: no tcp_port in status")
-  in
-  (* The request stream cycles the (benchmark x scheme) matrix, so the
-     leading edge of every run is all cold-cache misses: the daemon
-     answers those from the instant NI floor while upgrades compile on
-     the background lane — the tier path under high concurrency is
-     exactly what this generator exists to exercise. *)
-  let cells =
-    List.concat_map
-      (fun b -> List.map (fun s -> (b.B.name, s)) [ "NI"; "LLS"; "CS"; "ALL" ])
-      B.all
-    |> Array.of_list
-  in
-  let request_of i =
-    let b, s = cells.(i mod Array.length cells) in
-    Json.Obj
-      [
-        ("id", Json.Str (Printf.sprintf "load-%d" i));
-        ("op", Json.Str "compile");
-        ("benchmark", Json.Str b);
-        ("scheme", Json.Str s);
-        ("tier", Json.Str "auto");
-      ]
-  in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else
-      let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
-      sorted.(max 0 (min (n - 1) idx))
-  in
-  (* One open-loop phase: [workers] pipelined connections share the
-     arrival schedule round-robin; each worker's receiver thread
-     matches completions to frame tags while the sender holds the
-     schedule. Latency is completion minus scheduled (not actual)
-     send time, so a generator that falls behind cannot hide service
-     queueing. *)
-  let run_phase ~addr ~rate ~duration ~workers ~kill_at =
-    let reqs_total = max workers (int_of_float (rate *. duration)) in
-    let t0 = Mclock.counter () in
-    (match kill_at with
-    | None -> ()
-    | Some (after_s, pid) ->
-        ignore
-          (Thread.create
-             (fun () ->
-               Thread.delay after_s;
-               try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-             ()));
-    let worker w =
-      (* this worker's slice of the schedule: slots w, w+workers, ... *)
-      let n_w = if reqs_total <= w then 0 else ((reqs_total - 1 - w) / workers) + 1 in
-      let conn = Client.connect_addr ~recv_timeout_s:60.0 addr in
-      let lock = Mutex.create () in
-      let pending = Hashtbl.create 64 in
-      let lats = ref [] in
-      let okc = ref 0 and errc = ref 0 and floorc = ref 0 in
-      let sent = ref 0 and received = ref 0 in
-      (* The receiver owns a fixed quota — n_w completions — so there
-         is no handoff race with the sender: blocking in pipeline_recv
-         with the quota unmet is just waiting for a response that is
-         owed (or for the sender to put it on the wire). *)
-      let receiver =
-        Thread.create
-          (fun () ->
-            let rec loop () =
-              let more =
-                Mutex.lock lock;
-                let m = !received < n_w in
-                Mutex.unlock lock;
-                m
-              in
-              if more then
-                match Client.pipeline_recv conn with
-                | Ok (Some (fid, resp)) ->
-                    let now = Mclock.elapsed_s t0 in
-                    Mutex.lock lock;
-                    incr received;
-                    (match Hashtbl.find_opt pending fid with
-                    | Some sched ->
-                        Hashtbl.remove pending fid;
-                        lats := (now -. sched) :: !lats
-                    | None -> ());
-                    (if Json.str_member "status" resp = Some "error" then
-                       incr errc
-                     else begin
-                       incr okc;
-                       if Json.str_member "tier" resp = Some "floor" then
-                         incr floorc
-                     end);
-                    Mutex.unlock lock;
-                    loop ()
-                | Ok None | Error _ ->
-                    Mutex.lock lock;
-                    errc := !errc + (n_w - !received);
-                    received := n_w;
-                    Mutex.unlock lock
-                | exception Unix.Unix_error (Unix.ETIMEDOUT, _, _) ->
-                    Mutex.lock lock;
-                    errc := !errc + (n_w - !received);
-                    received := n_w;
-                    Mutex.unlock lock
-            in
-            loop ())
-          ()
-      in
-      let i = ref w in
-      while !i < reqs_total do
-        let sched = float_of_int !i /. rate in
-        let now = Mclock.elapsed_s t0 in
-        if sched > now then Thread.delay (sched -. now);
-        (* register the tag under the lock before the receiver can
-           possibly see its response *)
-        Mutex.lock lock;
-        (match Client.pipeline_send conn (request_of !i) with
-        | fid ->
-            incr sent;
-            Hashtbl.replace pending fid sched
-        | exception _ ->
-            (* a dead connection still consumes its quota slot *)
-            incr sent;
-            incr received;
-            incr errc);
-        Mutex.unlock lock;
-        i := !i + workers
-      done;
-      Thread.join receiver;
-      (try Client.close conn with _ -> ());
-      (!sent, !okc, !errc, !floorc, !lats)
-    in
-    let out = Array.make workers (0, 0, 0, 0, []) in
-    let threads =
-      List.init workers (fun w ->
-          Thread.create (fun () -> out.(w) <- worker w) ())
-    in
-    List.iter Thread.join threads;
-    let elapsed = Mclock.elapsed_s t0 in
-    let sent = Array.fold_left (fun a (s, _, _, _, _) -> a + s) 0 out in
-    let ok = Array.fold_left (fun a (_, o, _, _, _) -> a + o) 0 out in
-    let errors = Array.fold_left (fun a (_, _, e, _, _) -> a + e) 0 out in
-    let floor = Array.fold_left (fun a (_, _, _, f, _) -> a + f) 0 out in
-    let lats =
-      Array.fold_left (fun a (_, _, _, _, l) -> List.rev_append l a) [] out
-      |> Array.of_list
-    in
-    Array.sort compare lats;
-    {
-      offered_rps = rate;
-      achieved_rps = (if elapsed > 0.0 then float_of_int ok /. elapsed else 0.0);
-      sent;
-      ok;
-      errors;
-      floor;
-      p50_ms = 1000.0 *. percentile lats 0.50;
-      p99_ms = 1000.0 *. percentile lats 0.99;
-      p999_ms = 1000.0 *. percentile lats 0.999;
-      elapsed_s = elapsed;
-    }
-  in
-  let rung_json r =
-    Json.Obj
-      [
-        ("offered_rps", Json.Float r.offered_rps);
-        ("achieved_rps", Json.Float r.achieved_rps);
-        ("sent", Json.Int r.sent);
-        ("ok", Json.Int r.ok);
-        ("errors", Json.Int r.errors);
-        ("floor_tier", Json.Int r.floor);
-        ("p50_ms", Json.Float r.p50_ms);
-        ("p99_ms", Json.Float r.p99_ms);
-        ("p999_ms", Json.Float r.p999_ms);
-        ("elapsed_s", Json.Float r.elapsed_s);
-      ]
-  in
-  let sustained r = r.errors = 0 && r.achieved_rps >= 0.9 *. r.offered_rps in
-  let rates = if quick then [ 40.0; 80.0 ] else [ 50.0; 100.0; 200.0; 400.0 ] in
-  let duration = if quick then 1.0 else 3.0 in
-  let workers = if quick then 4 else 8 in
-  let ladder ~addr =
-    let rungs = List.map (fun r -> run_phase ~addr ~rate:r ~duration ~workers ~kill_at:None) rates in
-    let max_sustained =
-      List.fold_left
-        (fun acc r -> if sustained r then Float.max acc r.achieved_rps else acc)
-        0.0 rungs
-    in
-    (rungs, max_sustained)
-  in
-  let report label (rungs, max_sustained) =
-    Printf.printf "\n%s:\n" label;
-    List.iter
-      (fun r ->
-        Printf.printf
-          "  offered %6.0f rps: achieved %7.1f rps, %d/%d ok (%d floor-tier), \
-           p50 %.1f ms, p99 %.1f ms, p999 %.1f ms%s\n\
-           %!"
-          r.offered_rps r.achieved_rps r.ok r.sent r.floor r.p50_ms r.p99_ms
-          r.p999_ms
-          (if sustained r then "" else "  [not sustained]"))
-      rungs;
-    Printf.printf "  max sustained: %.1f rps\n%!" max_sustained
-  in
-  Fun.protect ~finally:(fun () -> kill_all (); Unix.close devnull) @@ fun () ->
-  (* --- one shard, direct over TCP ----------------------------------- *)
-  let s1_sock = Filename.concat tmp (Printf.sprintf "nload-one-%d.sock" mypid) in
-  ignore
-    (spawn [ "--socket"; s1_sock; "--tcp"; "127.0.0.1:0"; "-j"; "2" ]);
-  wait_socket s1_sock;
-  let one_addr = Printf.sprintf "127.0.0.1:%d" (tcp_port_of s1_sock) in
-  let one = ladder ~addr:(Client.parse_address one_addr) in
-  report "1 shard (direct TCP)" one;
-  kill_all ();
-  (* --- three shards behind the router -------------------------------- *)
-  let shard_socks =
-    List.init 3 (fun i ->
-        Filename.concat tmp (Printf.sprintf "nload-s%d-%d.sock" i mypid))
-  in
-  let shard_pids =
-    List.mapi
-      (fun i sock ->
-        spawn
-          [ "--socket"; sock; "-j"; "1"; "--shard-name"; Printf.sprintf "s%d" i ])
-      shard_socks
-  in
-  List.iter wait_socket shard_socks;
-  let r_sock = Filename.concat tmp (Printf.sprintf "nload-r-%d.sock" mypid) in
-  ignore
-    (spawn
-       ([ "--socket"; r_sock; "--tcp"; "127.0.0.1:0"; "--router" ]
-       @ List.concat
-           (List.mapi
-              (fun i sock -> [ "--shard"; Printf.sprintf "s%d=%s" i sock ])
-              shard_socks)));
-  wait_socket r_sock;
-  let router_addr = Client.parse_address (Printf.sprintf "127.0.0.1:%d" (tcp_port_of r_sock)) in
-  let three = ladder ~addr:router_addr in
-  report "3 shards (router, TCP)" three;
-  (* --- chaos: kill -9 one shard at load ------------------------------ *)
-  let chaos_rate = if quick then 40.0 else 100.0 in
-  let chaos_duration = if quick then 2.0 else 6.0 in
-  let victim = List.nth shard_pids 1 in
-  let chaos =
-    run_phase ~addr:router_addr ~rate:chaos_rate ~duration:chaos_duration
-      ~workers ~kill_at:(Some (chaos_duration /. 2.0, victim))
-  in
-  Printf.printf
-    "\nchaos (kill -9 shard s1 at %.1fs of %.1fs, %.0f rps): %d/%d ok, %d \
-     error(s), p99 %.1f ms — %s\n\
-     %!"
-    (chaos_duration /. 2.0) chaos_duration chaos_rate chaos.ok chaos.sent
-    chaos.errors chaos.p99_ms
-    (if chaos.errors = 0 then "zero failed requests" else "FAILURES");
-  let json =
-    Json.Obj
-      [
-        ("quick", Json.Bool quick);
-        ("workers", Json.Int workers);
-        ("duration_s", Json.Float duration);
-        ( "one_shard",
-          Json.Obj
-            [
-              ("rungs", Json.List (List.map rung_json (fst one)));
-              ("max_sustained_rps", Json.Float (snd one));
-            ] );
-        ( "three_shards",
-          Json.Obj
-            [
-              ("rungs", Json.List (List.map rung_json (fst three)));
-              ("max_sustained_rps", Json.Float (snd three));
-            ] );
-        ( "chaos",
-          Json.Obj
-            [
-              ("killed_shard", Json.Str "s1");
-              ("kill_after_s", Json.Float (chaos_duration /. 2.0));
-              ("rate_rps", Json.Float chaos_rate);
-              ("rung", rung_json chaos);
-            ] );
-      ]
-  in
-  Nascent_support.Guard.write_atomic ~path:load_json_path
-    (Nascent_support.Json.to_string json ^ "\n");
-  Printf.printf "wrote %s\n%!" load_json_path;
-  if chaos.errors > 0 then begin
-    prerr_endline "FAIL: chaos run had failed client requests";
-    exit 1
-  end
-
-(* --- Bechamel: one Test.make per table ------------------------------- *)
-
-let bech_tests () =
-  let open Bechamel in
-  let sources = List.map (fun b -> b.B.source) B.all in
-  let irs () = List.map Nascent_ir.Lower.of_source sources in
-  (* Table 1's measurement pipeline: characterize the suite
-     (lower + loop analysis + static counts; dynamic runs excluded to
-     keep the timer on compiler-side work). *)
-  let t_table1 =
-    Test.make ~name:"table1-characterize"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun ir ->
-               Nascent_ir.Program.iter_funcs
-                 (fun f -> ignore (Nascent_analysis.Loops.compute f))
-                 ir;
-               ignore (Nascent_ir.Program.static_counts ir))
-             (irs ())))
-  in
-  (* Table 2's dominant cost: one full optimizer run per scheme (PRX). *)
-  let t_table2 =
-    Test.make ~name:"table2-optimize-all-schemes"
-      (Staged.stage (fun () ->
-           let irs = irs () in
-           List.iter
-             (fun scheme ->
-               List.iter
-                 (fun ir ->
-                   ignore
-                     (Nascent_core.Optimizer.optimize
-                        ~config:(Config.make ~scheme ())
-                        ir))
-                 irs)
-             Config.all_schemes))
-  in
-  (* Table 3's extra cost: the primed variants (implications off). *)
-  let t_table3 =
-    Test.make ~name:"table3-optimize-impl-ablation"
-      (Staged.stage (fun () ->
-           let irs = irs () in
-           List.iter
-             (fun (scheme, impl) ->
-               List.iter
-                 (fun ir ->
-                   ignore
-                     (Nascent_core.Optimizer.optimize
-                        ~config:(Config.make ~scheme ~impl ())
-                        ir))
-                 irs)
-             [
-               (Config.NI, Nascent_checks.Universe.No_implications);
-               (Config.SE, Nascent_checks.Universe.No_implications);
-               (Config.LLS, Nascent_checks.Universe.Cross_family_only);
-             ]))
-  in
-  [ t_table1; t_table2; t_table3 ]
-
-let run_bech () =
-  let open Bechamel in
-  print_endline "";
-  print_endline "Bechamel timers (one Test.make per table):";
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 100) () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances test
-        |> Analyze.all
-             (Analyze.ols ~bootstrap:0 ~r_square:false
-                ~predictors:[| Measure.run |])
-             Toolkit.Instance.monotonic_clock
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-36s %12.3f ms/run\n%!" name (est /. 1e6)
-          | _ -> Printf.printf "  %-36s (no estimate)\n%!" name)
-        results)
-    (bech_tests ())
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let what = match args with [] -> [ "all" ] | xs -> xs in
@@ -1053,23 +224,11 @@ let () =
     | "canon" -> run_canon ()
     | "extensions" -> run_extensions ()
     | "tables" -> run_tables ()
-    | "check-determinism" ->
-        run_check_determinism ();
-        (* The tier ladder is part of the determinism contract: a floor
-           response and its upgraded replacement must be observably
-           identical artifacts of the same source, and the
-           latency/containment record regenerates alongside it. *)
-        run_tiers ()
+    | "check-determinism" -> run_check_determinism ()
     | "oracle-diff" -> run_oracle_differential ()
-    | "speedup" -> run_speedup ()
-    | "service" -> run_service ()
-    | "tiers" -> run_tiers ()
-    | "load" -> run_load ()
-    | "bech" -> run_bech ()
     | "all" ->
         run_tables ();
-        Figures.all ();
-        run_bech ()
+        Figures.all ()
     | other ->
         Printf.eprintf "unknown target %s\n" other;
         exit 1

@@ -273,6 +273,26 @@ let extensions (chars : characteristics list) : (Config.check_kind * row list) l
           [ Config.LI; Config.MCM; Config.LLS ] );
     ]
 
+(* --- determinism projection --------------------------------------------- *)
+
+(* A list of tables minus their timing columns: what must be invariant
+   across pool sizes. Timings (range/compile seconds) legitimately
+   differ between cold runs; anything else diverging means a pool or
+   cache bug. The determinism gate (bench/main.exe check-determinism)
+   and its tier-1 test (test_parallel.ml) compare this projection. *)
+let structural_row (r : row) =
+  ( r.label,
+    Config.cache_key r.config,
+    List.map
+      (fun (c : cell) ->
+        (c.dyn_checks_after, c.pct_eliminated, List.map fst c.pass_times, c.incidents))
+      r.cells )
+
+let structural (tables : (Config.check_kind * row list) list list) =
+  List.map
+    (fun (kind, rows) -> (Config.kind_name kind, List.map structural_row rows))
+    (List.concat tables)
+
 (* --- canonical-form ablation (design decision 1 in DESIGN.md) --------- *)
 
 (* How much does gcd-normalizing the canonical form shrink the check

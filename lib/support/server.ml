@@ -1112,7 +1112,7 @@ let run t =
 
 (* --- client helpers ---------------------------------------------------- *)
 
-(* Shared by nascentc client, the bench service target and the tests:
+(* Shared by nascentc client, the chaos rung, perfbench and the tests:
    the one place that knows how to speak a request/response exchange,
    including backoff against retryable errors. *)
 module Client = struct

@@ -6,9 +6,9 @@
    (jobs=1), on a pool (jobs=4), or replayed from a warm cache — and
    the warm replay must be byte-identical (timing columns included)
    with zero re-optimizations. bench/main.exe check-determinism runs
-   the same gate over the full suite in CI; this test pins it on a
-   3-benchmark subset so `dune runtest` catches pool/cache bugs
-   without CI. *)
+   the same gate, on the same projection (Experiments.structural), over
+   the full suite in CI; this test pins it on a 3-benchmark subset so
+   `dune runtest` catches pool/cache bugs without CI. *)
 
 module Pool = Nascent_support.Pool
 module Memo = Nascent_support.Memo
@@ -184,22 +184,6 @@ let test_config_cache_key_covers_verify () =
 
 (* --- the determinism contract of the table harness --------------------- *)
 
-(* Same projection as bench/main.exe check-determinism: everything but
-   the timing columns. *)
-let structural_row (r : E.row) =
-  ( r.E.label,
-    Config.cache_key r.E.config,
-    List.map
-      (fun (c : E.cell) ->
-        (c.E.dyn_checks_after, c.E.pct_eliminated, List.map fst c.E.pass_times,
-         c.E.incidents))
-      r.E.cells )
-
-let structural tables =
-  List.map
-    (fun (kind, rows) -> (Config.kind_name kind, List.map structural_row rows))
-    (List.concat tables)
-
 let test_tables_deterministic_across_jobs () =
   (* 3-benchmark subset of the full suite, PRX only: enough to exercise
      every scheme and the row-major fan-out, cheap enough for tier 1. *)
@@ -216,7 +200,7 @@ let test_tables_deterministic_across_jobs () =
   Pool.set_default_jobs 4;
   let parallel = tables () in
   Alcotest.(check bool) "jobs=1 and jobs=4 structurally equal" true
-    (structural serial = structural parallel);
+    (E.structural serial = E.structural parallel);
   (* Warm rerun: byte-identical rows (timings included, replayed from
      the cache) and zero re-optimizations. *)
   let before = (E.cell_cache_stats ()).Memo.misses in
