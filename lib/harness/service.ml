@@ -366,12 +366,6 @@ let tier_mode req =
    handler could clean up) and a fresh submission replaces it. *)
 let upgrade_stale_s = 120.0
 
-(* Enqueue the background upgrade for a floor cell, at most one in
-   flight per cache key. The payload round-trips through the same
-   request parsers, so the background job re-derives exactly the cell
-   the live request served the floor for. A refused submission (drain,
-   lane at capacity, memory pressure) just forgets the reservation:
-   the floor keeps serving and a later cold request resubmits. *)
 (* The protocol spelling [parse_impl] accepts (Universe.mode_name is
    the human/report one). *)
 let impl_wire = function
@@ -379,6 +373,13 @@ let impl_wire = function
   | Universe.No_implications -> "none"
   | Universe.Cross_family_only -> "cross"
 
+(* Enqueue the background upgrade for a floor cell, at most one in
+   flight per cache key. The payload round-trips through the same
+   request parsers, so the background job re-derives exactly the cell
+   the live request served the floor for. The submission itself waits
+   until the floor response is written. A refused submission (drain,
+   lane at capacity, memory pressure) just forgets the reservation:
+   the floor keeps serving and a later cold request resubmits. *)
 let maybe_submit_upgrade t ~key ~name ~src ~scheme ~kind ~impl ~verify ~oracle
     ~fault ~want_run =
   match t.submit_bg with
@@ -415,8 +416,13 @@ let maybe_submit_upgrade t ~key ~name ~src ~scheme ~kind ~impl ~verify ~oracle
                 ("run", Json.Bool want_run);
               ])
         in
-        if not (submit payload) then
-          counted t (fun () -> Hashtbl.remove t.upgrading key)
+        (* Submitted once the floor response is written: on a
+           multi-worker daemon the upgrade would otherwise start
+           compiling on another worker while this answer is still on
+           its way, and slow it down. *)
+        Server.after_response (fun () ->
+            let admitted = try submit payload with _ -> false in
+            if not admitted then counted t (fun () -> Hashtbl.remove t.upgrading key))
       end
 
 let handle_compile t req =

@@ -428,9 +428,20 @@ let mark_done t job =
   | Some j, Some seq -> Journal.mark_done j seq
   | _ -> ()
 
+(* Work a live handler hands to [after_response]: collected per worker
+   domain while the handler runs, run once its response is written. *)
+let deferred : (unit -> unit) list ref option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let after_response f =
+  match Domain.DLS.get deferred with Some r -> r := f :: !r | None -> f ()
+
 let process t job l =
   let id = l.id in
+  let pending = ref [] in
+  Domain.DLS.set deferred (Some pending);
   let response =
+    Fun.protect ~finally:(fun () -> Domain.DLS.set deferred None) @@ fun () ->
     match l.deadline with
     | Some d when Guard.expired d ->
         (* expired while queued: don't burn a compile on a dead request *)
@@ -465,7 +476,12 @@ let process t job l =
      journal-pending. A crash in the gap loses only the response bytes,
      not the work: the client's retry recompiles from the memo. *)
   mark_done t job;
-  answer t l.conn ~frame:l.frame response
+  answer t l.conn ~frame:l.frame response;
+  List.iter
+    (fun f ->
+      try f ()
+      with _ -> locked t (fun () -> t.c.internal_errors <- t.c.internal_errors + 1))
+    (List.rev !pending)
 
 (* --- background lane ---------------------------------------------------- *)
 
@@ -1112,9 +1128,10 @@ let run t =
 
 (* --- client helpers ---------------------------------------------------- *)
 
-(* Shared by nascentc client, the chaos rung, perfbench and the tests:
-   the one place that knows how to speak a request/response exchange,
-   including backoff against retryable errors. *)
+(* Shared by nascentc client, the chaos rung, the tier bar, perfbench
+   and the tests: the one place that knows how to speak a
+   request/response exchange, including backoff against retryable
+   errors. *)
 module Client = struct
   type address = Uds of string | Tcp of string * int
 

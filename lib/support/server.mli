@@ -118,6 +118,14 @@ val run : t -> unit
     [{"code": "mem-pressure", "retryable": true}] instead of letting
     the OS OOM-kill the daemon. *)
 
+val after_response : (unit -> unit) -> unit
+(** Called from a handler serving a live request: run [f] on the same
+    worker once that request's response is written, so follow-up work
+    (a tier upgrade's submission) cannot delay the answer. Outside a
+    live request — background runs, journal replay, a handler called
+    directly — [f] runs at once. An exception from [f] is counted as an
+    internal error. *)
+
 val submit_background : t -> Json.t -> bool
 (** Submit handler work to the {e background lane}: no client, no
     response — the compile service's tier-upgrade jobs. Background
@@ -158,7 +166,7 @@ val stopping : t -> bool
 val uptime_s : t -> float
 
 (** Client side of the protocol — shared by [nascentc client], the
-    bench service target and the tests. *)
+    chaos rung, the tier bar, perfbench and the tests. *)
 module Client : sig
   type address = Uds of string | Tcp of string * int
 

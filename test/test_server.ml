@@ -14,7 +14,6 @@ module Json = Nascent_support.Json
 module Frame = Nascent_support.Frame
 module Retry = Nascent_support.Retry
 module Guard = Nascent_support.Guard
-module Mclock = Nascent_support.Mclock
 module Service = Nascent_harness.Service
 module Mutate = Nascent_ir.Mutate
 module Config = Nascent_core.Config
@@ -657,94 +656,71 @@ let rec poll_until ?(n = 600) what f =
 (* The tier lifecycle end to end, over every benchmark: a cold miss
    answers instantly from the NI floor, the background lane compiles
    the requested scheme, and the hot-swap promotes the cache entry so
-   the next request sees the optimized artifact — with every stage
+   the next requests see the optimized artifact — with every stage
    visible in status. Across the swap the two artifacts must be
-   observably identical (same interpreter trap and error). The floor
-   must also be cheap: the median cold-miss floor response costs at
-   most 2x the median warm NI hit, since both are one cache lookup plus
-   the round trip.
-
-   One worker: the upgrade a cold miss submits then starts only after
-   its floor response is written, so the timing measures the floor
-   path, not an upgrade compiling on a second worker beside it. *)
+   observably identical (same interpreter trap and error). Two
+   workers, the daemon default, so each upgrade compiles beside a
+   worker serving live requests. The floor's latency bar (at most 2x a
+   warm NI hit) is timed apart from the suite, by tools/tier_bar. *)
 let test_tier_floor_then_optimized () =
-  with_tiered_service ~tune:(fun c -> { c with Server.jobs = 1 }) @@ fun path _ ->
+  with_tiered_service ~tune:(fun c -> { c with Server.jobs = 2 }) @@ fun path _ ->
   Client.with_conn path @@ fun conn ->
   let names = List.map (fun (b : B.benchmark) -> b.B.name) B.all in
   let schemes = [ "LLS"; "CS"; "SE"; "LI"; "ALL" ] in
-  let timed req =
-    let t0 = Mclock.counter () in
-    let resp = request_exn conn req in
-    (Mclock.elapsed_s t0, resp)
-  in
-  let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
   let run_of where resp =
     match Json.member "run" resp with
     | Some r -> (Json.str_member "trap" r, Json.str_member "error" r)
     | None -> Alcotest.failf "%s: run outcome missing from a tier response" where
   in
-  (* warm the NI floor cells *)
-  List.iter (fun n -> ignore (request_exn conn (compile_req ~scheme:"NI" ~run:true n))) names;
-  (* One cell at a time, each cold miss timed right after 4 warm NI
-     hits on the same benchmark, so both samples see the same host
-     load; 50 cold misses keep the median clear of a stalled sample. *)
-  let samples =
-    List.concat_map
-      (fun n ->
-        List.map
-          (fun scheme ->
-            let where = n ^ " " ^ scheme in
-            let warm =
-              List.init 4 (fun _ -> fst (timed (compile_req ~scheme:"NI" ~run:true n)))
-            in
-            let dt, cold = timed (compile_req ~scheme ~run:true n) in
-            Alcotest.(check string) (where ^ ": cold miss serves the floor tier") "floor"
-              (sfield cold "tier");
-            Alcotest.(check string) (where ^ ": floor artifact is the NI compile") "NI"
-              (sfield cold "scheme_used");
-            Alcotest.(check string) (where ^ ": requested scheme echoed") scheme
-              (sfield cold "scheme_requested");
-            Alcotest.(check string) (where ^ ": floor response is healthy") "ok"
-              (sfield cold "status");
-            Alcotest.(check bool) (where ^ ": floor is not a breaker fallback") false
-              (bfield cold "fallback");
-            let last = ref cold in
-            poll_until (where ^ ": background upgrade to the optimized tier") (fun () ->
-                last := request_exn conn (compile_req ~scheme ~run:true n);
-                sfield !last "tier" = "optimized");
-            let opt = !last in
-            Alcotest.(check string) (where ^ ": optimized artifact at the requested scheme")
-              scheme (sfield opt "scheme_used");
-            Alcotest.(check bool) (where ^ ": hot-swapped entry served from cache") true
-              (bfield opt "cached");
-            Alcotest.(check string) (where ^ ": upgrade kept the response healthy") "ok"
-              (sfield opt "status");
-            if scheme = "LLS" then
-              Alcotest.(check bool) (where ^ ": the upgrade actually optimized") true
-                (ifield opt "checks_after" < ifield cold "checks_after");
-            (* the differential across the swap: same trap and error *)
-            Alcotest.(check (pair (option string) (option string)))
-              (where ^ ": the floor runs clean") (None, None) (run_of where cold);
-            Alcotest.(check (pair (option string) (option string)))
-              (where ^ ": floor and optimized runs observably identical")
-              (run_of where cold) (run_of where opt);
-            (warm, dt))
-          schemes)
-      names
-  in
-  let warm_ni = median (List.concat_map fst samples) in
-  let cold_floor = median (List.map snd samples) in
-  if cold_floor > 2.0 *. warm_ni then
-    Alcotest.failf "cold-miss floor %.3f ms is %.2fx the warm NI hit %.3f ms (bar: 2x)"
-      (1000.0 *. cold_floor) (cold_floor /. warm_ni) (1000.0 *. warm_ni);
-  let n = List.length samples in
+  let cells = List.concat_map (fun n -> List.map (fun s -> (n, s)) schemes) names in
+  List.iter
+    (fun (n, scheme) ->
+      let where = n ^ " " ^ scheme in
+      let cold = request_exn conn (compile_req ~scheme ~run:true n) in
+      Alcotest.(check string) (where ^ ": cold miss serves the floor tier") "floor"
+        (sfield cold "tier");
+      Alcotest.(check string) (where ^ ": floor artifact is the NI compile") "NI"
+        (sfield cold "scheme_used");
+      Alcotest.(check string) (where ^ ": requested scheme echoed") scheme
+        (sfield cold "scheme_requested");
+      Alcotest.(check string) (where ^ ": floor response is healthy") "ok"
+        (sfield cold "status");
+      Alcotest.(check bool) (where ^ ": floor is not a breaker fallback") false
+        (bfield cold "fallback");
+      let last = ref cold in
+      poll_until (where ^ ": background upgrade to the optimized tier") (fun () ->
+          last := request_exn conn (compile_req ~scheme ~run:true n);
+          sfield !last "tier" = "optimized");
+      let opt = !last in
+      Alcotest.(check string) (where ^ ": optimized artifact at the requested scheme")
+        scheme (sfield opt "scheme_used");
+      Alcotest.(check bool) (where ^ ": hot-swapped entry served from cache") true
+        (bfield opt "cached");
+      Alcotest.(check string) (where ^ ": upgrade kept the response healthy") "ok"
+        (sfield opt "status");
+      if scheme = "LLS" then
+        Alcotest.(check bool) (where ^ ": the upgrade actually optimized") true
+          (ifield opt "checks_after" < ifield cold "checks_after");
+      (* the differential across the swap: same trap and error *)
+      Alcotest.(check (pair (option string) (option string)))
+        (where ^ ": the floor runs clean") (None, None) (run_of where cold);
+      Alcotest.(check (pair (option string) (option string)))
+        (where ^ ": floor and optimized runs observably identical")
+        (run_of where cold) (run_of where opt);
+      (* promotion sticks: warm requests stay on the optimized tier *)
+      for _ = 1 to 2 do
+        Alcotest.(check string) (where ^ ": warm request stays optimized") "optimized"
+          (sfield (request_exn conn (compile_req ~scheme ~run:true n)) "tier")
+      done)
+    cells;
+  let n = List.length cells in
   let st = request_exn conn status_req in
   let tiers = ofield st "tiers"
   and ups = ofield st "upgrades"
   and cache = ofield st "cache" in
   Alcotest.(check bool) "floor responses counted" true (ifield tiers "floor" >= n);
   Alcotest.(check bool) "optimized responses counted" true
-    (ifield tiers "optimized" >= n);
+    (ifield tiers "optimized" >= 3 * n);
   Alcotest.(check int) "one upgrade submitted per cell" n (ifield ups "submitted");
   Alcotest.(check int) "one upgrade done per cell" n (ifield ups "done");
   Alcotest.(check int) "no upgrade pending" 0 (ifield ups "pending");
@@ -1127,6 +1103,44 @@ let test_bg_lane_reserves_live_worker () =
   wait_status "deferred background work ran" (fun st ->
       ifield st "bg_done" = 3 && ifield st "bg_pending" = 0)
 
+(* Work a handler hands to [Server.after_response] runs only once its
+   response is written: the client holds its answer while that work is
+   still blocked (one worker, so nothing else could have answered).
+   Outside a live request the work runs at once. *)
+let test_after_response_runs_after_write () =
+  let gate = Mutex.create () and cond = Condition.create () in
+  let open_gate = ref false and ran = ref 0 in
+  let release () =
+    Mutex.protect gate (fun () ->
+        open_gate := true;
+        Condition.broadcast cond)
+  in
+  let handler =
+    {
+      Server.handle =
+        (fun _ ->
+          Server.after_response (fun () ->
+              Mutex.protect gate (fun () ->
+                  while not !open_gate do
+                    Condition.wait cond gate
+                  done;
+                  incr ran));
+          Json.Obj [ ("status", Json.Str "ok") ]);
+      status_extra = (fun () -> []);
+    }
+  in
+  (with_server ~tune:(fun c -> { c with Server.jobs = 1 }) handler @@ fun path _ ->
+   Fun.protect ~finally:release @@ fun () ->
+   Client.with_addr ~recv_timeout_s:10.0 (Client.Uds path) @@ fun conn ->
+   let resp = request_exn conn (Json.Obj [ ("id", Json.Int 1); ("op", Json.Str "x") ]) in
+   Alcotest.(check string) "answered" "ok" (sfield resp "status");
+   Alcotest.(check int) "deferred work still waiting" 0
+     (Mutex.protect gate (fun () -> !ran));
+   release ();
+   poll_until "deferred work ran" (fun () -> Mutex.protect gate (fun () -> !ran = 1)));
+  ignore (handler.Server.handle Json.Null);
+  Alcotest.(check int) "outside a request it runs at once" 2 !ran
+
 let suite =
   [
     Util.tc "compile request round-trips" test_compile_ok;
@@ -1151,4 +1165,5 @@ let suite =
     Util.tc "mem pressure sheds admission" test_mem_pressure_sheds_admission;
     Util.tc "mem abort is retryable" test_mem_abort_is_retryable;
     Util.tc "bg lane keeps one worker live" test_bg_lane_reserves_live_worker;
+    Util.tc "after_response runs after the write" test_after_response_runs_after_write;
   ]

@@ -1,18 +1,18 @@
 (* Chaos rung: kill -9 a shard under open-loop load, with zero failed
    client requests allowed.
 
-   Spawns three nascentd shards behind a consistent-hash router on a
-   TCP port, warms the ring with two open-loop phases through the
-   router (40 and 80 rps, 1 s each), then runs a 2 s phase at 40 rps
-   and kill -9s shard s1 one second in. Health ejection plus ring
-   failover must hide the dead shard from every client: the rung exits
-   1 if any request of the chaos phase fails.
+   Drives a running shard router on its TCP address: two open-loop
+   warm-up phases (40 and 80 rps, 1 s each), then a 2 s phase at 40 rps
+   that kill -9s the victim shard process one second in. Health
+   ejection plus ring failover must hide the dead shard from every
+   client: the rung exits 1 if any request of the chaos phase fails.
+   tools/ci.sh runs it against its shard smoke's router and shard s1.
 
    Open loop: arrivals follow a fixed schedule whatever the completions,
    so a stalled service cannot throttle its own load. Four pipelined
    connections share the schedule round-robin.
 
-   Usage: chaos_rung.exe PATH/TO/nascentd.exe *)
+   Usage: chaos_rung.exe HOST:PORT VICTIM_PID *)
 
 module Json = Nascent_support.Json
 module Client = Nascent_support.Server.Client
@@ -109,83 +109,23 @@ let run_phase ~addr ~rate ~duration ~kill_at =
   (total, Array.fold_left ( + ) 0 errors)
 
 let () =
-  let nascentd =
+  let addr, victim =
     match Sys.argv with
-    | [| _; path |] -> path
+    | [| _; addr; pid |] -> (Client.parse_address addr, int_of_string pid)
     | _ ->
-        prerr_endline "usage: chaos_rung NASCENTD";
+        prerr_endline "usage: chaos_rung HOST:PORT VICTIM_PID";
         exit 2
   in
   (* a dead peer must show up as a failed request, not kill the rung *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let sock name =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nascent-rung-%s-%d.sock" name (Unix.getpid ()))
-  in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
-  let children = ref [] in
-  let spawn argv =
-    let pid =
-      Unix.create_process nascentd (Array.of_list (nascentd :: argv)) Unix.stdin
-        devnull devnull
-    in
-    children := pid :: !children;
-    pid
-  in
-  let wait_socket path =
-    let rec go n =
-      if n = 0 then failwith ("chaos rung: socket never appeared: " ^ path)
-      else if not (Sys.file_exists path) then begin
-        Unix.sleepf 0.05;
-        go (n - 1)
-      end
-    in
-    go 400
-  in
-  let shards = List.init 3 (fun i -> (Printf.sprintf "s%d" i, sock (Printf.sprintf "s%d" i))) in
-  let router = sock "router" in
-  let cleanup () =
-    List.iter (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()) !children;
-    List.iter (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()) !children;
-    List.iter
-      (fun path -> try Sys.remove path with Sys_error _ -> ())
-      (router :: List.map snd shards);
-    Unix.close devnull
-  in
-  let errors =
-    Fun.protect ~finally:cleanup @@ fun () ->
-    let pids =
-      List.map
-        (fun (name, path) -> spawn [ "--socket"; path; "-j"; "1"; "--shard-name"; name ])
-        shards
-    in
-    List.iter (fun (_, path) -> wait_socket path) shards;
-    ignore
-      (spawn
-         ([ "--socket"; router; "--tcp"; "127.0.0.1:0"; "--router" ]
-         @ List.concat_map (fun (name, path) -> [ "--shard"; name ^ "=" ^ path ]) shards));
-    wait_socket router;
-    let port =
-      match Client.request_retry ~seed:1 router (Json.Obj [ ("op", Json.Str "status") ]) with
-      | Error e -> failwith ("chaos rung: router status: " ^ e)
-      | Ok st -> (
-          match Json.int_member "tcp_port" st with
-          | Some p -> p
-          | None -> failwith "chaos rung: no tcp_port in router status")
-    in
-    let addr = Client.parse_address (Printf.sprintf "127.0.0.1:%d" port) in
-    List.iter
-      (fun rate ->
-        let sent, errors = run_phase ~addr ~rate ~duration:1.0 ~kill_at:None in
-        Printf.printf "warm-up %.0f rps: %d request(s), %d error(s)\n%!" rate sent errors)
-      [ 40.0; 80.0 ];
-    let sent, errors =
-      run_phase ~addr ~rate:40.0 ~duration:2.0 ~kill_at:(Some (1.0, List.nth pids 1))
-    in
-    Printf.printf "chaos (kill -9 shard s1 at 1.0s of 2.0s, 40 rps): %d request(s), %d error(s)\n%!"
-      sent errors;
-    errors
-  in
+  List.iter
+    (fun rate ->
+      let sent, errors = run_phase ~addr ~rate ~duration:1.0 ~kill_at:None in
+      Printf.printf "warm-up %.0f rps: %d request(s), %d error(s)\n%!" rate sent errors)
+    [ 40.0; 80.0 ];
+  let sent, errors = run_phase ~addr ~rate:40.0 ~duration:2.0 ~kill_at:(Some (1.0, victim)) in
+  Printf.printf "chaos (kill -9 pid %d at 1.0s of 2.0s, 40 rps): %d request(s), %d error(s)\n%!"
+    victim sent errors;
   if errors > 0 then begin
     prerr_endline "FAIL: chaos rung had failed client requests";
     exit 1
